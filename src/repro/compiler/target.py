@@ -34,8 +34,9 @@ accepted (``repro.compile(pi, target="ibm_qe5")``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
+from .._registry import Registry
 from ..emit import EmitterError
 from ..emit import get as get_emitter
 from ..engines import EngineError, NoiseModel, as_noise_model
@@ -261,7 +262,15 @@ class Target:
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Target] = {}
+_TARGETS: Registry[Target] = Registry(
+    error=PipelineError,
+    noun="target",
+    plural="targets",
+    protocol="Target",
+    required=("name",),
+    passthrough=("name", "flow"),
+    expected="a target name",
+)
 
 
 def register_target(target: Target, overwrite: bool = False) -> Target:
@@ -278,14 +287,7 @@ def register_target(target: Target, overwrite: bool = False) -> Target:
         PipelineError: when the name is taken and ``overwrite`` is
             false.
     """
-    key = target.name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise PipelineError(
-            f"target {target.name!r} is already registered; pass "
-            "overwrite=True to replace it"
-        )
-    _REGISTRY[key] = target
-    return target
+    return _TARGETS.register(target, overwrite)
 
 
 def get_target(spec: Union[Target, str, None]) -> Target:
@@ -306,18 +308,12 @@ def get_target(spec: Union[Target, str, None]) -> Target:
         return CLIFFORD_T
     if isinstance(spec, Target):
         return spec
-    target = _REGISTRY.get(str(spec).lower())
-    if target is None:
-        raise PipelineError(
-            f"unknown target {spec!r}; registered targets: "
-            f"{', '.join(list_targets())}"
-        )
-    return target
+    return _TARGETS.get(str(spec))
 
 
 def list_targets() -> Tuple[str, ...]:
     """Return the registered target names in registration order."""
-    return tuple(_REGISTRY)
+    return _TARGETS.names()
 
 
 #: Reversible MCT level: synthesis plus cascade simplification.

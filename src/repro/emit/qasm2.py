@@ -13,7 +13,9 @@ This module is the implementation behind the ``qasm2`` registry entry;
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from typing import TYPE_CHECKING, List, Tuple
 
@@ -145,13 +147,52 @@ _MEASURE_RE = re.compile(
 _OPERAND_RE = re.compile(r"(\w+)\[(\d+)\]")
 
 
+_ANGLE_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+
+
+def _eval_angle(node: ast.AST) -> float:
+    """Evaluate one whitelisted angle-expression node in float arithmetic.
+
+    Only numbers, ``pi``, ``+ - * /``, unary signs and parentheses are
+    accepted; every value is a float, so no input can force big-integer
+    arithmetic (``**`` is not in the grammar at all).
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        value = _eval_angle(node.operand)
+        return -value if isinstance(node.op, ast.USub) else value
+    if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_OPS:
+        return _ANGLE_OPS[type(node.op)](
+            _eval_angle(node.left), _eval_angle(node.right)
+        )
+    raise ValueError("unsupported angle syntax")
+
+
 def _parse_angle(text: str) -> float:
-    """Evaluate a restricted ``pi``-fraction angle expression."""
-    text = text.strip().replace("pi", repr(math.pi))
-    # restrict eval to arithmetic characters
-    if not re.fullmatch(r"[0-9eE+\-*/. ()]*", text):
-        raise QasmError(f"bad angle expression {text!r}")
-    return float(eval(text, {"__builtins__": {}}))  # noqa: S307
+    """Evaluate a ``pi``-fraction angle expression such as ``-3*pi/4``.
+
+    Raises:
+        QasmError: for anything outside the angle grammar, division
+            by zero, or a non-finite result.
+    """
+    # the parser reports over-deep nesting (``------...1``) as
+    # MemoryError or RecursionError rather than SyntaxError
+    try:
+        value = _eval_angle(ast.parse(text.strip(), mode="eval").body)
+    except (SyntaxError, ValueError, ZeroDivisionError, OverflowError,
+            RecursionError, MemoryError) as exc:
+        raise QasmError(f"bad angle expression {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise QasmError(f"angle expression {text!r} is not finite")
+    return value
 
 
 def _wire_lookup(registers, kind):

@@ -13,8 +13,9 @@ historical alias of ``"qasm2"``).
 from __future__ import annotations
 
 import importlib
-from typing import TYPE_CHECKING, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
+from .._registry import Registry
 from .base import Emitter, EmitterError, can_parse
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,21 +25,23 @@ if TYPE_CHECKING:  # pragma: no cover
 #: exposes its backend instance as ``EMITTER``.
 _BUILTIN_MODULES = ("qasm2", "qasm3", "qsharp", "projectq", "cirq", "qir")
 
-_REGISTRY: Dict[str, Emitter] = {}
-_ALIASES: Dict[str, str] = {}
-_ORDER: List[str] = []
-_BUILTINS_LOADED = False
 
-
-def _ensure_builtins() -> None:
-    """Load and register the built-in backends exactly once."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
+def _builtin_emitters():
+    """Import the built-in backend modules and yield their emitters."""
     for module_name in _BUILTIN_MODULES:
-        module = importlib.import_module(f".{module_name}", __package__)
-        register(module.EMITTER)
+        yield importlib.import_module(f".{module_name}", __package__).EMITTER
+
+
+_FORMATS: Registry[Emitter] = Registry(
+    error=EmitterError,
+    noun="emission format",
+    plural="formats",
+    protocol="Emitter",
+    required=("name", "description", "file_extension", "emit"),
+    passthrough=("emit", "name"),
+    expected="a format name",
+    builtins=_builtin_emitters,
+)
 
 
 def register(emitter: Emitter, overwrite: bool = False) -> Emitter:
@@ -48,7 +51,9 @@ def register(emitter: Emitter, overwrite: bool = False) -> Emitter:
         emitter: the backend to register (anything satisfying the
             :class:`~.base.Emitter` protocol).
         overwrite: replace an existing registration of the same name
-            or alias instead of raising.
+            or alias instead of raising.  A replaced backend keeps its
+            listing position (also :func:`emitter_for_path`'s
+            first-match priority).
 
     Returns:
         The registered backend (for chaining).
@@ -58,50 +63,7 @@ def register(emitter: Emitter, overwrite: bool = False) -> Emitter:
             its name/alias collides with an existing registration and
             ``overwrite`` is false.
     """
-    for attr in ("name", "description", "file_extension", "emit"):
-        if not hasattr(emitter, attr):
-            raise EmitterError(
-                f"emitter {emitter!r} does not satisfy the Emitter "
-                f"protocol: missing {attr!r}"
-            )
-    _ensure_builtins()
-    name = emitter.name.lower()
-    aliases = tuple(a.lower() for a in getattr(emitter, "aliases", ()))
-    taken = [
-        key
-        for key in (name, *aliases)
-        if key in _REGISTRY or key in _ALIASES
-    ]
-    if taken and not overwrite:
-        raise EmitterError(
-            f"emission format {taken[0]!r} is already registered; pass "
-            "overwrite=True to replace it"
-        )
-    # evict everything the new registration shadows: backends whose
-    # canonical name collides with one of our keys, aliases colliding
-    # with our keys, and the replaced backend's own old aliases
-    predecessors = (
-        set(_ORDER[: _ORDER.index(name)]) if name in _REGISTRY else None
-    )
-    for key in (name, *aliases):
-        if key in _REGISTRY:
-            unregister(key)
-        _ALIASES.pop(key, None)
-    for alias, canonical in list(_ALIASES.items()):
-        if canonical == name:
-            del _ALIASES[alias]
-    _REGISTRY[name] = emitter
-    if predecessors is not None:
-        # keep the replaced backend's listing position relative to the
-        # entries that survived the evictions (order is also
-        # emitter_for_path's first-match priority)
-        index = sum(1 for key in _ORDER if key in predecessors)
-        _ORDER.insert(index, name)
-    elif name not in _ORDER:
-        _ORDER.append(name)
-    for alias in aliases:
-        _ALIASES[alias] = name
-    return emitter
+    return _FORMATS.register(emitter, overwrite)
 
 
 def unregister(name: str) -> Emitter:
@@ -116,20 +78,7 @@ def unregister(name: str) -> Emitter:
     Raises:
         EmitterError: when no backend of that name is registered.
     """
-    _ensure_builtins()
-    key = name.lower()
-    emitter = _REGISTRY.get(key)
-    if emitter is None:
-        raise EmitterError(
-            f"unknown emission format {name!r}; registered formats: "
-            f"{describe_formats()}"
-        )
-    del _REGISTRY[key]
-    _ORDER.remove(key)
-    for alias, canonical in list(_ALIASES.items()):
-        if canonical == key:
-            del _ALIASES[alias]
-    return emitter
+    return _FORMATS.unregister(name)
 
 
 def get(spec: Union[str, Emitter]) -> Emitter:
@@ -146,54 +95,22 @@ def get(spec: Union[str, Emitter]) -> Emitter:
         EmitterError: for unknown names; the message lists the
             registered formats (with their aliases).
     """
-    if not isinstance(spec, str):
-        # duck-typed like register(): 'aliases' stays optional
-        if hasattr(spec, "emit") and hasattr(spec, "name"):
-            return spec
-        raise EmitterError(
-            f"expected a format name or Emitter, got {type(spec).__name__}"
-        )
-    _ensure_builtins()
-    key = spec.lower()
-    key = _ALIASES.get(key, key)
-    emitter = _REGISTRY.get(key)
-    if emitter is None:
-        raise EmitterError(
-            f"unknown emission format {spec!r}; registered formats: "
-            f"{describe_formats()}"
-        )
-    return emitter
+    return _FORMATS.get(spec)
 
 
 def formats() -> Tuple[str, ...]:
     """Return the canonical registered format names, in listing order."""
-    _ensure_builtins()
-    return tuple(_ORDER)
+    return _FORMATS.names()
 
 
 def describe_formats() -> str:
     """Return ``"qasm2 (aka qasm), qasm3, ..."`` for error messages."""
-    parts = []
-    for name in formats():
-        # the live alias map, not the backends' static declarations:
-        # overwrite registrations may have reassigned an alias
-        aliases = tuple(
-            alias
-            for alias, canonical in _ALIASES.items()
-            if canonical == name
-        )
-        if aliases:
-            parts.append(f"{name} (aka {', '.join(aliases)})")
-        else:
-            parts.append(name)
-    return ", ".join(parts)
+    return _FORMATS.describe()
 
 
 def parseable_formats() -> Tuple[str, ...]:
     """Return the registered formats whose backend can ``parse``."""
-    return tuple(
-        name for name in formats() if can_parse(_REGISTRY[name])
-    )
+    return tuple(name for name in formats() if can_parse(get(name)))
 
 
 def emit(circuit: "QuantumCircuit", format: str, **opts) -> str:
@@ -256,11 +173,12 @@ def emitter_for_path(path: str) -> Emitter:
             lists the known extensions.
     """
     lowered = str(path).lower()
-    for name in formats():
-        if lowered.endswith(_REGISTRY[name].file_extension):
-            return _REGISTRY[name]
+    listed = [(name, get(name)) for name in formats()]
+    for _name, emitter in listed:
+        if lowered.endswith(emitter.file_extension):
+            return emitter
     known = ", ".join(
-        f"{_REGISTRY[name].file_extension} ({name})" for name in formats()
+        f"{emitter.file_extension} ({name})" for name, emitter in listed
     )
     raise EmitterError(
         f"no emission format claims the extension of {path!r}; known "

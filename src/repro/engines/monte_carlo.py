@@ -64,20 +64,19 @@ class MonteCarloEngine:
                 the paper's device rates).  Damping rates are exact-
                 tier channels and are rejected here.
             seed: RNG seed for the error/measurement sampling.
-            **opts: ``backend`` selects the array backend; ``batched``
-                picks the trajectory sweep — ``None`` (default) batches
-                all shots on one axis when the model is trajectory-safe
-                and the batch fits :attr:`max_batch_bytes`,
-                ``False`` forces the historical per-shot loop,
-                ``True`` forces the batch.  The batched sweep samples
-                the same distribution but a *different RNG stream*
-                than the loop for the same seed.  Any other option
-                raises.
+            **opts: ``batched`` picks the trajectory sweep — ``None``
+                (default) batches all shots on one axis when the model
+                is trajectory-safe and the batch fits
+                :attr:`max_batch_bytes`, ``False`` forces the
+                historical per-shot loop, ``True`` forces the batch.
+                The batched sweep samples the same distribution but a
+                *different RNG stream* than the loop for the same
+                seed.  Any other option raises.
 
         Returns:
             The run's :class:`SimulationResult` (counts only).
         """
-        reject_opts(self, opts, allowed=("backend", "batched"))
+        reject_opts(self, opts, allowed=("batched",))
         model = noise if noise is not None else NoiseModel.noiseless()
         if not model.trajectory_safe:
             raise EngineError(
@@ -87,9 +86,7 @@ class MonteCarloEngine:
             )
         from ..simulator.noise import NoisyBackend
 
-        sampler = NoisyBackend(
-            model, seed=seed, backend=opts.get("backend")
-        )
+        sampler = NoisyBackend(model, seed=seed)
         batched = opts.get("batched")
         if batched is None:
             batch_bytes = shots * (1 << circuit.num_qubits) * 16

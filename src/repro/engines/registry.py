@@ -11,8 +11,9 @@ Resolution is case-insensitive and alias-aware (``"sv"`` resolves to
 from __future__ import annotations
 
 import importlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
+from .._registry import Registry
 from .base import Engine, EngineError
 from .noise import NoiseModel, as_noise_model
 
@@ -24,21 +25,23 @@ if TYPE_CHECKING:  # pragma: no cover
 #: exposes its backend instance as ``ENGINE``.
 _BUILTIN_MODULES = ("statevector", "stabilizer", "density_matrix", "monte_carlo")
 
-_REGISTRY: Dict[str, Engine] = {}
-_ALIASES: Dict[str, str] = {}
-_ORDER: List[str] = []
-_BUILTINS_LOADED = False
 
-
-def _ensure_builtins() -> None:
-    """Load and register the built-in engines exactly once."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    _BUILTINS_LOADED = True
+def _builtin_engines():
+    """Import the built-in engine modules and yield their engines."""
     for module_name in _BUILTIN_MODULES:
-        module = importlib.import_module(f".{module_name}", __package__)
-        register(module.ENGINE)
+        yield importlib.import_module(f".{module_name}", __package__).ENGINE
+
+
+_ENGINES: Registry[Engine] = Registry(
+    error=EngineError,
+    noun="engine",
+    plural="engines",
+    protocol="Engine",
+    required=("name", "description", "capabilities", "run"),
+    passthrough=("run", "name"),
+    expected="an engine name",
+    builtins=_builtin_engines,
+)
 
 
 def register(engine: Engine, overwrite: bool = False) -> Engine:
@@ -48,7 +51,8 @@ def register(engine: Engine, overwrite: bool = False) -> Engine:
         engine: the backend to register (anything satisfying the
             :class:`~.base.Engine` protocol).
         overwrite: replace an existing registration of the same name
-            or alias instead of raising.
+            or alias instead of raising; a replaced backend keeps its
+            listing position.
 
     Returns:
         The registered backend (for chaining).
@@ -58,49 +62,7 @@ def register(engine: Engine, overwrite: bool = False) -> Engine:
             its name/alias collides with an existing registration and
             ``overwrite`` is false.
     """
-    for attr in ("name", "description", "capabilities", "run"):
-        if not hasattr(engine, attr):
-            raise EngineError(
-                f"engine {engine!r} does not satisfy the Engine "
-                f"protocol: missing {attr!r}"
-            )
-    _ensure_builtins()
-    name = engine.name.lower()
-    aliases = tuple(a.lower() for a in getattr(engine, "aliases", ()))
-    taken = [
-        key
-        for key in (name, *aliases)
-        if key in _REGISTRY or key in _ALIASES
-    ]
-    if taken and not overwrite:
-        raise EngineError(
-            f"engine {taken[0]!r} is already registered; pass "
-            "overwrite=True to replace it"
-        )
-    # evict everything the new registration shadows: backends whose
-    # canonical name collides with one of our keys, aliases colliding
-    # with our keys, and the replaced backend's own old aliases
-    predecessors = (
-        set(_ORDER[: _ORDER.index(name)]) if name in _REGISTRY else None
-    )
-    for key in (name, *aliases):
-        if key in _REGISTRY:
-            unregister(key)
-        _ALIASES.pop(key, None)
-    for alias, canonical in list(_ALIASES.items()):
-        if canonical == name:
-            del _ALIASES[alias]
-    _REGISTRY[name] = engine
-    if predecessors is not None:
-        # keep the replaced backend's listing position relative to the
-        # entries that survived the evictions
-        index = sum(1 for key in _ORDER if key in predecessors)
-        _ORDER.insert(index, name)
-    elif name not in _ORDER:
-        _ORDER.append(name)
-    for alias in aliases:
-        _ALIASES[alias] = name
-    return engine
+    return _ENGINES.register(engine, overwrite)
 
 
 def unregister(name: str) -> Engine:
@@ -115,20 +77,7 @@ def unregister(name: str) -> Engine:
     Raises:
         EngineError: when no engine of that name is registered.
     """
-    _ensure_builtins()
-    key = name.lower()
-    engine = _REGISTRY.get(key)
-    if engine is None:
-        raise EngineError(
-            f"unknown engine {name!r}; registered engines: "
-            f"{describe_engines()}"
-        )
-    del _REGISTRY[key]
-    _ORDER.remove(key)
-    for alias, canonical in list(_ALIASES.items()):
-        if canonical == key:
-            del _ALIASES[alias]
-    return engine
+    return _ENGINES.unregister(name)
 
 
 def get(spec: Union[str, Engine]) -> Engine:
@@ -145,47 +94,17 @@ def get(spec: Union[str, Engine]) -> Engine:
         EngineError: for unknown names; the message lists the
             registered engines (with their aliases).
     """
-    if not isinstance(spec, str):
-        # duck-typed like register(): 'aliases' stays optional
-        if hasattr(spec, "run") and hasattr(spec, "name"):
-            return spec
-        raise EngineError(
-            f"expected an engine name or Engine, got {type(spec).__name__}"
-        )
-    _ensure_builtins()
-    key = spec.lower()
-    key = _ALIASES.get(key, key)
-    engine = _REGISTRY.get(key)
-    if engine is None:
-        raise EngineError(
-            f"unknown engine {spec!r}; registered engines: "
-            f"{describe_engines()}"
-        )
-    return engine
+    return _ENGINES.get(spec)
 
 
 def engines() -> Tuple[str, ...]:
     """Return the canonical registered engine names, in listing order."""
-    _ensure_builtins()
-    return tuple(_ORDER)
+    return _ENGINES.names()
 
 
 def describe_engines() -> str:
     """Return ``"statevector (aka sv, pure), ..."`` for error messages."""
-    parts = []
-    for name in engines():
-        # the live alias map, not the backends' static declarations:
-        # overwrite registrations may have reassigned an alias
-        aliases = tuple(
-            alias
-            for alias, canonical in _ALIASES.items()
-            if canonical == name
-        )
-        if aliases:
-            parts.append(f"{name} (aka {', '.join(aliases)})")
-        else:
-            parts.append(name)
-    return ", ".join(parts)
+    return _ENGINES.describe()
 
 
 def run(

@@ -44,18 +44,15 @@ class StatevectorEngine:
             noise: must be ``None`` or all-zero (this backend is
                 noiseless; the error names the noisy alternatives).
             seed: RNG seed for measurement sampling.
-            **opts: ``fusion=False`` disables the gate-fusion pre-pass;
-                ``backend`` selects the array backend (name or instance).
+            **opts: ``fusion=False`` disables the gate-fusion pre-pass.
 
         Returns:
             The run's :class:`SimulationResult` (with final state).
         """
         reject_noise(self, noise)
-        reject_opts(self, opts, allowed=("fusion", "backend"))
+        reject_opts(self, opts, allowed=("fusion",))
         simulator = StatevectorSimulator(
-            seed=seed,
-            fusion=opts.get("fusion", True),
-            backend=opts.get("backend"),
+            seed=seed, fusion=opts.get("fusion", True)
         )
         return simulator.run(circuit, shots=shots)
 

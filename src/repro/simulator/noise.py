@@ -18,45 +18,20 @@ the other basis states.  The exact counterpart is the
 ``density_matrix`` engine (:mod:`repro.engines.density_matrix`), which
 evolves the trajectory average of this sampler as a full density
 matrix — same depolarizing convention, no sampling error.
-
-Importing ``NoiseModel`` from this module still works but warns once:
-the dataclass now lives in :mod:`repro.engines.noise` (import it from
-there, or from :mod:`repro.simulator`, which re-exports it silently).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.circuit import QuantumCircuit
 from ..engines.noise import NoiseModel as _NoiseModel
-from . import backends as array_backends
 from . import kernels
 from .statevector import SimulationResult, Statevector, _measured_width
 
 _PAULIS = ("x", "y", "z")
-
-_DEPRECATED_WARNED = False
-
-
-def __getattr__(name: str):
-    """Warn once when the relocated ``NoiseModel`` is pulled from here."""
-    if name == "NoiseModel":
-        global _DEPRECATED_WARNED
-        if not _DEPRECATED_WARNED:
-            _DEPRECATED_WARNED = True
-            warnings.warn(
-                "repro.simulator.noise.NoiseModel moved to "
-                "repro.engines.noise (also re-exported by repro.simulator "
-                "and repro.engines); this alias will be removed",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return _NoiseModel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NoisyBackend:
@@ -72,11 +47,9 @@ class NoisyBackend:
         self,
         noise_model: Optional[_NoiseModel] = None,
         seed: Optional[int] = None,
-        backend=None,
     ):
         self.noise_model = noise_model or _NoiseModel.ibm_qe_2018()
         self._seed = seed
-        self._array_backend = backend
 
     def run(self, circuit: QuantumCircuit, shots: int = 1024) -> SimulationResult:
         """Execute ``circuit`` with noise for ``shots`` repetitions.
@@ -98,7 +71,7 @@ class NoisyBackend:
             for g in gates
         ]
         for _ in range(shots):
-            state = Statevector(num_qubits, backend=self._array_backend)
+            state = Statevector(num_qubits)
             creg = 0
             for gate, p_err in zip(gates, error_rates):
                 if gate.is_measurement:
@@ -117,8 +90,7 @@ class NoisyBackend:
                         if rng.random() < p_err:
                             pauli = _PAULIS[rng.integers(0, 3)]
                             kernels.apply_pauli(
-                                state.data, pauli, qubit, num_qubits,
-                                backend=state.backend,
+                                state.data, pauli, qubit, num_qubits
                             )
             counts[creg] = counts.get(creg, 0) + 1
         return SimulationResult(counts, None, shots, _measured_width(circuit))
@@ -129,7 +101,7 @@ class NoisyBackend:
         """Vectorized counterpart of :meth:`run`: all shots in one batch.
 
         The ``shots`` trajectories evolve together as one
-        ``(2**n, shots)`` array on the backend's batch axis: every gate
+        ``(2**n, shots)`` array on the kernels' batch axis: every gate
         is a single batched kernel call, sampled Pauli errors are
         scattered onto only the affected trajectory columns, and
         measurements collapse all columns at once.  Results are
@@ -140,13 +112,12 @@ class NoisyBackend:
         rng = np.random.default_rng(self._seed)
         model = self.noise_model
         num_qubits = circuit.num_qubits
-        backend = array_backends.resolve(self._array_backend)
         gates = [g for g in circuit.gates if g.name != "barrier"]
         error_rates = [
             0.0 if g.is_measurement or g.name == "reset" else model.gate_error(g)
             for g in gates
         ]
-        state = backend.zeros(num_qubits, batch=(shots,))
+        state = kernels._zeros(num_qubits, batch=(shots,))
         state[0, :] = 1.0
         creg = np.zeros(shots, dtype=np.int64)
         for gate, p_err in zip(gates, error_rates):
@@ -162,10 +133,9 @@ class NoisyBackend:
             if gate.name == "reset":
                 _reset_batch(state, num_qubits, gate.targets[0], rng)
                 continue
-            if not kernels.apply_gate(state, gate, num_qubits, backend=backend):
+            if not kernels.apply_gate(state, gate, num_qubits):
                 kernels.apply_matrix(
-                    state, gate.matrix(), gate.qubits, num_qubits,
-                    backend=backend,
+                    state, gate.matrix(), gate.qubits, num_qubits
                 )
             if p_err > 0.0:
                 for qubit in gate.qubits:
@@ -178,9 +148,7 @@ class NoisyBackend:
                         if cols.size == 0:
                             continue
                         sub = np.ascontiguousarray(state[:, cols])
-                        kernels.apply_pauli(
-                            sub, pauli, qubit, num_qubits, backend=backend
-                        )
+                        kernels.apply_pauli(sub, pauli, qubit, num_qubits)
                         state[:, cols] = sub
         counts: Dict[int, int] = {}
         for value, count in zip(*np.unique(creg, return_counts=True)):

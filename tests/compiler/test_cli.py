@@ -93,6 +93,12 @@ class TestCompileCommand:
         code, _out, _err = run_cli("compile", "hwb=3", "--verify")
         assert code == 0
 
+    def test_array_backends_subcommand_removed(self, run_cli):
+        # the kernels have one NumPy path; argparse rejects the old name
+        with pytest.raises(SystemExit) as info:
+            run_cli("backends")
+        assert info.value.code == 2
+
     def test_bad_workload_exits_nonzero(self, run_cli):
         code, _out, err = run_cli("compile", "definitely: not valid!")
         assert code == 2
@@ -256,28 +262,6 @@ class TestFormatsCommand:
         code, out, _err = run_cli("formats", "--names")
         assert code == 0
         assert tuple(out.split()) == emit.formats()
-
-
-class TestBackendsCommand:
-    def test_lists_every_builtin_with_availability(self, run_cli):
-        from repro.simulator import backends
-
-        code, out, _err = run_cli("backends")
-        assert code == 0
-        # every builtin appears whether or not its dependency is there
-        for cls in (backends.NumpyBackend, backends.NumbaBackend,
-                    backends.NumbaParallelBackend):
-            assert cls.name in out
-        assert "aka np/default" in out
-        if not backends.NumbaParallelBackend.available():
-            assert "pip install numba" in out
-
-    def test_names_mode_lists_only_usable_backends(self, run_cli):
-        from repro.simulator import backends
-
-        code, out, _err = run_cli("backends", "--names")
-        assert code == 0
-        assert tuple(out.split()) == backends.backends()
 
 
 class TestEmitMatrix:

@@ -1,11 +1,13 @@
 """Unit tests for OpenQASM 2.0 export/import."""
 
 import math
+import time
 
 import pytest
 
+from repro import emit
 from repro.core.circuit import QuantumCircuit
-from repro.emit.qasm2 import QasmError, from_qasm, to_qasm
+from repro.emit.qasm2 import QasmError, _parse_angle, from_qasm, to_qasm
 from repro.core.unitary import circuits_equivalent
 
 
@@ -95,6 +97,38 @@ x q[0]; // trailing comment
             from_qasm(
                 'OPENQASM 2.0;\nqreg q[1];\nrz(__import__) q[0];\n'
             )
+
+    @pytest.mark.parametrize("angle, value", [
+        ("pi", math.pi),
+        ("-pi/2", -math.pi / 2),
+        ("+0.5", 0.5),
+        ("(1+pi)*2", (1 + math.pi) * 2),
+        ("2*-pi", -2 * math.pi),
+        ("1e-3", 1e-3),
+        (" 3 ", 3.0),
+    ])
+    def test_angle_grammar_accepted(self, angle, value):
+        assert _parse_angle(angle) == pytest.approx(value)
+
+    @pytest.mark.parametrize("angle", [
+        "pi**2", "sin(pi)", "tau", "1e309", "2 if 1 else 3", "'a'", "True",
+    ])
+    def test_angle_outside_grammar_rejected(self, angle):
+        with pytest.raises(QasmError):
+            _parse_angle(angle)
+
+    @pytest.mark.parametrize("angle", ["9**9**9", "1/0", "1e308*10"])
+    def test_hostile_angle_raises_qasm_error_promptly(self, angle):
+        # regression: '**' slipped past the old character filter into
+        # eval (9**9**9 never returned) and 1/0 leaked ZeroDivisionError
+        start = time.perf_counter()
+        with pytest.raises(QasmError):
+            emit.parse(
+                'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
+                f"rz({angle}) q[0];\n",
+                "qasm2",
+            )
+        assert time.perf_counter() - start < 1.0
 
     def test_barrier_round_trip(self):
         circ = QuantumCircuit(2).h(0).barrier(0, 1).h(1)

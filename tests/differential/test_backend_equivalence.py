@@ -1,33 +1,19 @@
-"""Differential harness for the array-backend layer.
+"""Differential harness for the kernel execution paths.
 
-Property: whichever :class:`ArrayBackend` executes the kernels —
-NumPy, numba (when installed), fused or unfused, batched or looped —
-the amplitudes must agree to 1e-12.  The numba legs skip cleanly when
-numba is absent (the CI backend-matrix job runs one leg with numba and
-one without, so both paths stay exercised).
+Property: however the kernels execute a circuit — fused or unfused,
+batched or looped, per-shot or batched noisy trajectories — the
+amplitudes must agree to 1e-12.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.circuit import QuantumCircuit
-from repro.engines.density_matrix import DensityMatrix
 from repro.engines.noise import NoiseModel
-from repro.simulator import backends as B
 from repro.simulator import kernels
 from repro.simulator.noise import NoisyBackend
-from repro.simulator.statevector import StatevectorSimulator, evolve_batch
-
-needs_numba = pytest.mark.skipif(
-    not B.NumbaBackend.available(), reason="numba not installed"
-)
-needs_numba_parallel = pytest.mark.skipif(
-    not B.NumbaParallelBackend.available(), reason="numba not installed"
-)
+from repro.simulator.statevector import evolve_batch
 
 ATOL = 1e-12
 
@@ -73,23 +59,23 @@ def random_state(num_qubits, seed, batch=()):
     return data
 
 
-def evolve_on(circ, state, backend, fuse=True):
+def evolve_on(circ, state, fuse=True):
     out = np.array(state, dtype=complex)
     ops = kernels.compile_circuit(circ.gates, fuse=fuse)
-    kernels.apply_ops(out, ops, circ.num_qubits, backend=backend)
+    kernels.apply_ops(out, ops, circ.num_qubits)
     return out
 
 
 # ----------------------------------------------------------------------
-# NumPy-only properties (always run)
+# properties of the one NumPy kernel path
 # ----------------------------------------------------------------------
 class TestNumpyProperties:
     @given(circuits())
     @settings(max_examples=25)
     def test_fused_matches_unfused(self, circ):
         state = random_state(circ.num_qubits, 7)
-        fused = evolve_on(circ, state, "numpy", fuse=True)
-        unfused = evolve_on(circ, state, "numpy", fuse=False)
+        fused = evolve_on(circ, state, fuse=True)
+        unfused = evolve_on(circ, state, fuse=False)
         np.testing.assert_allclose(fused, unfused, atol=ATOL)
 
     @given(circuits())
@@ -147,186 +133,3 @@ class TestNumpyProperties:
         # bit 1 is always 1 after reset + x; bit 0 is a fair coin
         assert set(result.counts) <= {0b10, 0b11}
         assert sum(result.counts.values()) == 600
-
-
-# ----------------------------------------------------------------------
-# numba-vs-NumPy differential (skips without numba)
-# ----------------------------------------------------------------------
-@needs_numba
-class TestNumbaDifferential:
-    @given(circuits())
-    @settings(max_examples=20, deadline=None)
-    def test_gate_vocabulary_matches(self, circ):
-        state = random_state(circ.num_qubits, 3)
-        np.testing.assert_allclose(
-            evolve_on(circ, state, "numba", fuse=False),
-            evolve_on(circ, state, "numpy", fuse=False),
-            atol=ATOL,
-        )
-
-    @given(circuits())
-    @settings(max_examples=20, deadline=None)
-    def test_fused_ops_match(self, circ):
-        state = random_state(circ.num_qubits, 9)
-        np.testing.assert_allclose(
-            evolve_on(circ, state, "numba", fuse=True),
-            evolve_on(circ, state, "numpy", fuse=True),
-            atol=ATOL,
-        )
-
-    @given(circuits(max_qubits=4))
-    @settings(max_examples=10, deadline=None)
-    def test_batched_states_match(self, circ):
-        n = circ.num_qubits
-        batch = random_state(n, 21, batch=(3,))
-        out_nb = batch.copy()
-        out_np = batch.copy()
-        evolve_batch(circ, out_nb, backend="numba")
-        evolve_batch(circ, out_np, backend="numpy")
-        np.testing.assert_allclose(out_nb, out_np, atol=ATOL)
-
-    @given(circuits(max_qubits=3))
-    @settings(max_examples=10, deadline=None)
-    def test_density_matrix_evolution_matches(self, circ):
-        rhos = {}
-        for name in ("numba", "numpy"):
-            rho = DensityMatrix(circ.num_qubits, backend=name)
-            for gate in circ.gates:
-                if gate.name != "barrier":
-                    rho.apply_gate(gate)
-            rho.apply_channel("amplitude_damping", 0.15, 0)
-            rho.apply_channel("depolarizing", 0.05, 1)
-            rhos[name] = rho.data
-        np.testing.assert_allclose(rhos["numba"], rhos["numpy"], atol=ATOL)
-
-    def test_simulator_counts_identical_across_backends(self):
-        # sampling consumes the RNG identically, so a shared seed must
-        # give byte-identical counts whichever backend evolved the state
-        circ = QuantumCircuit(3, 3)
-        circ.h(0)
-        circ.cx(0, 1)
-        circ.ccx(0, 1, 2)
-        circ.measure_all()
-        res_np = StatevectorSimulator(seed=11, backend="numpy").run(
-            circ, shots=512
-        )
-        res_nb = StatevectorSimulator(seed=11, backend="numba").run(
-            circ, shots=512
-        )
-        assert res_np.counts == res_nb.counts
-
-
-# ----------------------------------------------------------------------
-# numba_parallel-vs-NumPy differential (skips without numba)
-# ----------------------------------------------------------------------
-@contextmanager
-def forced_parallel(threshold=1):
-    """Drop the prange size threshold so small states hit the kernels.
-
-    Without this, every Hypothesis-sized state (< 2**17 amplitudes)
-    would delegate to the serial tier and the parallel kernels would
-    never be differentially exercised.
-    """
-    saved = B.NumbaParallelBackend.parallel_threshold
-    B.NumbaParallelBackend.parallel_threshold = threshold
-    try:
-        yield
-    finally:
-        B.NumbaParallelBackend.parallel_threshold = saved
-
-
-@needs_numba_parallel
-class TestNumbaParallelDifferential:
-    @given(circuits())
-    @settings(max_examples=20, deadline=None)
-    def test_gate_vocabulary_matches(self, circ):
-        state = random_state(circ.num_qubits, 3)
-        with forced_parallel():
-            out = evolve_on(circ, state, "numba_parallel", fuse=False)
-        np.testing.assert_allclose(
-            out, evolve_on(circ, state, "numpy", fuse=False), atol=ATOL
-        )
-
-    @given(circuits())
-    @settings(max_examples=20, deadline=None)
-    def test_fused_blocks_match(self, circ):
-        # fuse=True routes through apply_block — the prange
-        # gather/matmul/scatter kernel, new for the numba tiers
-        state = random_state(circ.num_qubits, 9)
-        with forced_parallel():
-            out = evolve_on(circ, state, "numba_parallel", fuse=True)
-        np.testing.assert_allclose(
-            out, evolve_on(circ, state, "numpy", fuse=True), atol=ATOL
-        )
-
-    @given(circuits(max_qubits=4))
-    @settings(max_examples=10, deadline=None)
-    def test_batched_states_match(self, circ):
-        # batched input must delegate to the NumPy paths untouched
-        n = circ.num_qubits
-        batch = random_state(n, 21, batch=(3,))
-        out_nbp = batch.copy()
-        out_np = batch.copy()
-        with forced_parallel():
-            evolve_batch(circ, out_nbp, backend="numba_parallel")
-        evolve_batch(circ, out_np, backend="numpy")
-        np.testing.assert_allclose(out_nbp, out_np, atol=ATOL)
-
-    @given(circuits(max_qubits=4))
-    @settings(max_examples=10, deadline=None)
-    def test_single_thread_leg_matches(self, circ):
-        # threads=1 exercises the prange machinery without concurrency
-        import numba
-
-        state = random_state(circ.num_qubits, 17)
-        saved = numba.get_num_threads()
-        try:
-            numba.set_num_threads(1)
-            with forced_parallel():
-                out = evolve_on(circ, state, "numba_parallel", fuse=True)
-        finally:
-            numba.set_num_threads(saved)
-        np.testing.assert_allclose(
-            out, evolve_on(circ, state, "numpy", fuse=True), atol=ATOL
-        )
-
-    def test_wide_state_crosses_real_threshold(self):
-        # 17 qubits = 2**17 amplitudes: at the default threshold this
-        # genuinely runs the parallel kernels, no monkeypatching
-        n = 17
-        assert (1 << n) >= B.NumbaParallelBackend.parallel_threshold
-        circ = QuantumCircuit(n)
-        for q in range(n):
-            circ.h(q)
-        for q in range(n - 1):
-            circ.cx(q, q + 1)
-        circ.rz(0.37, 5)
-        circ.swap(2, 11)
-        circ.ccx(0, 8, 16)
-        state = random_state(n, 29)
-        np.testing.assert_allclose(
-            evolve_on(circ, state, "numba_parallel", fuse=True),
-            evolve_on(circ, state, "numpy", fuse=True),
-            atol=ATOL,
-        )
-
-    def test_below_threshold_delegates_to_serial_tier(self):
-        # the fallback rule itself: narrow states never hit prange
-        backend = B.get("numba_parallel")
-        state = random_state(8, 5)
-        assert not backend._parallel(np.array(state, dtype=complex))
-
-    def test_simulator_counts_identical_across_backends(self):
-        circ = QuantumCircuit(3, 3)
-        circ.h(0)
-        circ.cx(0, 1)
-        circ.ccx(0, 1, 2)
-        circ.measure_all()
-        with forced_parallel():
-            res_nbp = StatevectorSimulator(
-                seed=11, backend="numba_parallel"
-            ).run(circ, shots=512)
-        res_np = StatevectorSimulator(seed=11, backend="numpy").run(
-            circ, shots=512
-        )
-        assert res_np.counts == res_nbp.counts

@@ -159,3 +159,12 @@ class TestMonteCarloAdapter:
         model = NoiseModel(amplitude_damping=0.1)
         with pytest.raises(engines.EngineError, match="density_matrix"):
             engines.run("monte_carlo", _universal_circuit(), noise=model)
+
+
+@pytest.mark.parametrize(
+    "engine", ["statevector", "density_matrix", "monte_carlo"]
+)
+def test_array_backend_option_rejected(engine):
+    # the kernels have one NumPy path; 'backend' is no longer an option
+    with pytest.raises(engines.EngineError, match="unknown option 'backend'"):
+        engines.run(engine, _universal_circuit(), backend="numpy")

@@ -20,6 +20,11 @@ class TestCommandParsing:
         with pytest.raises(ShellError):
             RevKitShell().execute("frobnicate")
 
+    def test_array_backends_command_removed(self):
+        # the kernels have one NumPy path; there is nothing to list
+        with pytest.raises(ShellError):
+            RevKitShell().execute("backends")
+
     def test_empty_segments_skipped(self):
         outputs = RevKitShell().run("revgen --hwb 3;; tbs;")
         assert len(outputs) == 2
@@ -112,22 +117,6 @@ class TestCommands:
         shell = RevKitShell()
         shell.run("revgen --hwb 3; tbs")
         assert "quantum-cost" in shell.execute("ps -c")
-
-    def test_backends_lists_every_builtin(self):
-        from repro.simulator import backends
-
-        out = RevKitShell().execute("backends")
-        for name in ("numpy", "numba", "numba_parallel"):
-            assert name in out
-        assert "aka np/default" in out
-        if backends.NumbaParallelBackend.available():
-            assert "unavailable" not in out.split("numba_parallel")[1]
-        else:
-            assert "pip install numba" in out
-
-    def test_backends_python_method_mirrors_command(self):
-        shell = RevKitShell()
-        assert shell.backends() == shell.execute("backends")
 
     def test_ps_empty_store_rejected(self):
         with pytest.raises(ShellError):

@@ -1,9 +1,8 @@
-"""Deterministic circuit corpus shared by the backend golden tests.
+"""Deterministic circuit corpus shared by the kernel golden tests.
 
 The golden arrays in ``tests/simulator/golden/kernel_states.npz`` were
-captured from the pre-refactor kernel layer (PR 8 tree, before the
-array-backend seam existed).  The corpus here regenerates the exact
-same circuits, so the NumPy backend can be asserted *identical* — not
+captured from the historical kernel layer.  The corpus here regenerates the
+exact same circuits, so the kernels can be asserted *identical* — not
 merely close — to the historical kernels after any refactor.
 
 Do not change this module without regenerating the goldens.

@@ -2,8 +2,8 @@
 
 Every named gate must take the dedicated kernel path, and that path
 must agree with the dense tensordot reference (the seed
-implementation, still reachable via ``Statevector.use_kernels =
-False``) to 1e-12.  Fusion must preserve circuit semantics up to
+implementation, kept as ``tests/oracles/dense_statevector.py``) to
+1e-12.  Fusion must preserve circuit semantics up to
 global phase.
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from _helpers import random_clifford_t_circuit
+from oracles.dense_statevector import DenseStatevector
 
 from repro.core.circuit import QuantumCircuit
 from repro.core.gates import Gate
@@ -68,12 +69,10 @@ def test_kernel_matches_dense_apply_matrix(seed):
     data = _random_state(num_qubits, seed)
 
     fast = Statevector(num_qubits, data)
-    slow = Statevector(num_qubits, data)
-    slow.use_kernels = False
+    slow = DenseStatevector(num_qubits, data)
     for _ in range(12):
         gate = _random_gate(num_qubits, rng)
         fast.apply_gate(gate)
-        slow.use_kernels = False
         slow.apply_gate(gate)
     assert np.abs(fast.data - slow.data).max() < 1e-12
 
@@ -91,8 +90,7 @@ def test_generic_kernel_matches_dense_for_arbitrary_matrix(seed):
     )[0]
     data = _random_state(num_qubits, seed + 100)
     fast = Statevector(num_qubits, data)
-    slow = Statevector(num_qubits, data)
-    slow.use_kernels = False
+    slow = DenseStatevector(num_qubits, data)
     fast.apply_matrix(matrix, qubits)
     slow.apply_matrix(matrix, qubits)
     assert np.abs(fast.data - slow.data).max() < 1e-12
@@ -141,9 +139,7 @@ def test_fusion_preserves_clifford_t_equivalence(seed):
     num_qubits = rng.randint(3, 6)
     circ = random_clifford_t_circuit(num_qubits, 60, seed=seed)
     fused = Statevector(num_qubits).evolve(circ, fuse=True)
-    dense = Statevector(num_qubits)
-    dense.use_kernels = False
-    dense.evolve(circ)
+    dense = DenseStatevector(num_qubits).evolve(circ)
     assert fused.equiv(dense, atol=1e-10)
     assert np.abs(fused.data - dense.data).max() < 1e-10
 
@@ -185,8 +181,7 @@ def test_diagonal_run_merges_to_single_op():
     assert qubits == (2, 1, 0)
     # check against dense evolution
     state = _random_state(3, 3)
-    expected = Statevector(3, state)
-    expected.use_kernels = False
+    expected = DenseStatevector(3, state)
     for gate in circ.gates:
         expected.apply_gate(gate)
     got = Statevector(3, state).evolve(circ)

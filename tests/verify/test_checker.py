@@ -25,10 +25,15 @@ from repro.pipeline import (
     VerificationError,
     flows,
 )
-from repro.pipeline import verification as legacy
 from repro.revkit import generators
 from repro.synthesis.reversible import ReversibleCircuit
-from repro.verify import EquivalenceChecker, Verdict, VerifyPass, as_checker
+from repro.verify import (
+    EquivalenceChecker,
+    Verdict,
+    VerifyPass,
+    as_checker,
+    default_checker,
+)
 
 
 def clifford_pair(n=14):
@@ -179,12 +184,13 @@ class TestExplicitSkips:
 
     def test_legacy_helper_reports_skip_distinctly(self):
         """Regression: the old helper returned None both for passed
-        and for skipped-above-the-width-limit."""
+        and for skipped-above-the-width-limit; the shell's ``verify``
+        now calls the default checker directly."""
         rev = ReversibleCircuit(18)
         for q in range(17):
             rev.cnot(q, q + 1)
         quantum = rev.to_quantum_circuit()
-        verdict = legacy.check_mapped_circuit(quantum, rev)
+        verdict = default_checker().check_mapped_circuit(quantum, rev)
         assert isinstance(verdict, Verdict)
         # 18 data lines exceed the exhaustive-table limit, but the
         # outcome is an explicit skip, never a silent pass
