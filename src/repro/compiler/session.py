@@ -308,19 +308,27 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _compile_task(task: Tuple) -> CompilationResult:
-    """Process-pool entry: re-resolve the cache spec and compile.
+def _run_job(
+    task: Tuple[Any, Union[Target, str, None], Union[Flow, None]],
+    verify: Union[bool, str, EquivalenceChecker, None],
+    cache: Union[Dict[str, Any], PassCache, str, None],
+    job_timeout: Optional[float],
+    retry: Union[RetryPolicy, int, None],
+) -> CompilationResult:
+    """Run one batch job under its deadline and retry policy.
 
-    A dict spec rebuilds a disk-backed :class:`PassCache` in the
+    The one job body behind both pools: the thread pool passes the
+    session's live cache, the process pool its picklable cache spec
+    (a dict spec rebuilds a disk-backed :class:`PassCache` in the
     worker, including the parent's eviction budgets; strings pass
-    through :func:`_resolve_cache` unchanged.  The job's deadline
-    starts here — in the worker, when the job actually begins — and
-    spans every retry attempt, so a retried job cannot outlive its
-    ``job_timeout``.
+    through :func:`_resolve_cache` unchanged).  The deadline starts
+    here — when the job begins on its worker, not when the batch was
+    submitted — and spans every retry attempt, so a retried job
+    cannot outlive its ``job_timeout``.
     """
-    workload, target, flow, verify, cache_spec, job_timeout, retry = task
-    if isinstance(cache_spec, dict):
-        cache_spec = PassCache(**cache_spec)
+    workload, target, flow = task
+    if isinstance(cache, dict):
+        cache = PassCache(**cache)
     deadline = (
         Deadline.after(job_timeout) if job_timeout is not None else None
     )
@@ -334,7 +342,7 @@ def _compile_task(task: Tuple) -> CompilationResult:
             target=target,
             flow=flow,
             verify=verify,
-            cache=cache_spec,
+            cache=cache,
             deadline=deadline,
         )
 
@@ -454,42 +462,6 @@ class CompilerSession:
             cache=self.cache,
         )
 
-    def _compile_job(
-        self,
-        task: Tuple[Any, Union[Target, str, None], Union[Flow, None]],
-        job_timeout: Optional[float],
-        retry: Union[RetryPolicy, int, None],
-    ) -> CompilationResult:
-        """Run one batch job under its deadline and retry policy.
-
-        The deadline starts here — when the job begins on its worker,
-        not when the batch was submitted — and spans every retry
-        attempt.
-        """
-        workload, target, flow = task
-        deadline = (
-            Deadline.after(job_timeout) if job_timeout is not None else None
-        )
-        policy = as_retry(retry)
-
-        def attempt() -> CompilationResult:
-            """Run one (possibly retried) dispatch of the job."""
-            fault_point("session.dispatch")
-            return compile(
-                workload,
-                target=target if target is not None else self.target,
-                flow=flow if flow is not None else self.flow,
-                verify=self.verify,
-                cache=self.cache,
-                deadline=deadline,
-            )
-
-        if policy is None:
-            return attempt()
-        return policy.call(
-            attempt, site="session.dispatch", deadline=deadline
-        )
-
     def _collect(
         self, futures: List, job_timeout: Optional[float]
     ) -> List[CompilationResult]:
@@ -545,28 +517,20 @@ class CompilerSession:
         if len(tasks) == 1 and job_timeout is None:
             # fast path: no backstop needed without a timeout, so the
             # job can run on the calling thread
-            return [self._compile_job(tasks[0], None, retry)]
+            return [_run_job(tasks[0], self.verify, self.cache, None, retry)]
+        pool: Union[ProcessPoolExecutor, ThreadPoolExecutor]
         if self.executor == "process":
-            payload = [
-                (w, t, f, self.verify, self._cache_spec, job_timeout, retry)
-                for w, t, f in tasks
-            ]
-            pool: Union[ProcessPoolExecutor, ThreadPoolExecutor]
             pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            try:
-                futures = [
-                    pool.submit(_compile_task, item) for item in payload
-                ]
-                return self._collect(futures, job_timeout)
-            finally:
-                pool.shutdown(
-                    wait=job_timeout is None, cancel_futures=True
-                )
-        max_workers = self.max_workers or min(len(tasks), 8)
-        pool = ThreadPoolExecutor(max_workers=max_workers)
+            cache = self._cache_spec
+        else:
+            max_workers = self.max_workers or min(len(tasks), 8)
+            pool = ThreadPoolExecutor(max_workers=max_workers)
+            cache = self.cache
         try:
             futures = [
-                pool.submit(self._compile_job, task, job_timeout, retry)
+                pool.submit(
+                    _run_job, task, self.verify, cache, job_timeout, retry
+                )
                 for task in tasks
             ]
             return self._collect(futures, job_timeout)
@@ -609,25 +573,17 @@ class CompilerSession:
         if self.executor == "process":
             pool: Union[ProcessPoolExecutor, ThreadPoolExecutor]
             pool = ProcessPoolExecutor(max_workers=self.max_workers or limit)
-
-            def submit(task):
-                """Ship one task to a worker process."""
-                workload, target, flow = task
-                payload = (
-                    workload, target, flow, self.verify, self._cache_spec,
-                    job_timeout, retry,
-                )
-                return loop.run_in_executor(pool, _compile_task, payload)
-
+            cache = self._cache_spec
         else:
             pool = ThreadPoolExecutor(max_workers=limit)
+            cache = self.cache
 
-            def submit(task):
-                """Run one task on the shared-cache thread pool."""
-                call = functools.partial(
-                    self._compile_job, task, job_timeout, retry
-                )
-                return loop.run_in_executor(pool, call)
+        def submit(task):
+            """Hand one task to the pool."""
+            call = functools.partial(
+                _run_job, task, self.verify, cache, job_timeout, retry
+            )
+            return loop.run_in_executor(pool, call)
 
         async def run_one(index, task):
             """Await one job under the in-flight semaphore."""
@@ -913,21 +869,6 @@ class CompilerSession:
     def cache_stats(self) -> Dict[str, int]:
         """Return the shared cache's entry/hit/miss/eviction counters."""
         if self.cache is None:
-            return {
-                "entries": 0,
-                "hits": 0,
-                "misses": 0,
-                "disk_hits": 0,
-                "evictions": 0,
-                "memory_evictions": 0,
-                "disk_evictions": 0,
-                "io_errors": 0,
-                "memory_io_errors": 0,
-                "disk_io_errors": 0,
-                "retries": 0,
-                "quarantined": 0,
-                "degraded": 0,
-                "disk_entries": 0,
-                "disk_bytes": 0,
-            }
+            # an empty in-memory cache reports every counter at zero
+            return PassCache().stats()
         return self.cache.stats()

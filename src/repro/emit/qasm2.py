@@ -19,7 +19,7 @@ import operator
 import re
 from typing import TYPE_CHECKING, List, Tuple
 
-from ..core.gates import Gate
+from ..core.gates import ROTATION_GATES, Gate
 from .base import EmitterError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,8 +138,10 @@ def _format_angle(value: float) -> str:
     return repr(value)
 
 
+# operands never contain parentheses, so the parameter list runs to
+# the line's last ``)`` and may nest: ``rz(-(pi/4)) q[0];``
 _GATE_RE = re.compile(
-    r"^(?P<name>[a-z][a-z0-9]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>.*);$"
+    r"^(?P<name>[a-z][a-z0-9]*)\s*(?:\((?P<params>.*)\))?\s*(?P<args>.*);$"
 )
 _MEASURE_RE = re.compile(
     r"^measure\s+(\w+)\[(\d+)\]\s*->\s*(\w+)\[(\d+)\];$"
@@ -222,6 +224,14 @@ def _wire_lookup(registers, kind):
     return resolve
 
 
+def _check_count(line: str, what: str, expected: int, got: int) -> None:
+    """Raise unless a statement carries the expected number of ``what``."""
+    if got != expected:
+        raise QasmError(
+            f"line {line!r} takes {expected} {what}(s), got {got}"
+        )
+
+
 def from_qasm(text: str) -> "QuantumCircuit":
     """Parse OpenQASM 2.0 text (the subset emitted by :func:`to_qasm`).
 
@@ -281,24 +291,32 @@ def from_qasm(text: str) -> "QuantumCircuit":
             qubit_of(reg, int(idx))
             for reg, idx in _OPERAND_RE.findall(match.group("args"))
         ]
-        if qasm_name == "barrier":
-            circuit.barrier(*qubits)
-            continue
-        if qasm_name == "reset":
-            circuit.reset(qubits[0])
+        texts = match.group("params")
+        texts = texts.split(",") if texts else []
+        if qasm_name in ("barrier", "reset"):
+            _check_count(line, "parameter", 0, len(texts))
+            if qasm_name == "barrier":
+                circuit.barrier(*qubits)
+            else:
+                _check_count(line, "qubit operand", 1, len(qubits))
+                circuit.reset(qubits[0])
             continue
         name = _IMPORT_NAMES.get(qasm_name)
         if name is None:
             raise QasmError(f"unsupported gate {qasm_name!r}")
-        params = ()
-        if match.group("params"):
-            params = tuple(
-                _parse_angle(p) for p in match.group("params").split(",")
-            )
+        params = tuple(_parse_angle(p) for p in texts)
         n_ctl = _NUM_CONTROLS.get(name, 0)
+        n_tgt = 2 if name in ("swap", "cswap") else 1
+        _check_count(line, "qubit operand", n_ctl + n_tgt, len(qubits))
+        n_par = 1 if name in ROTATION_GATES else 0
+        _check_count(line, "parameter", n_par, len(params))
         controls = tuple(qubits[:n_ctl])
         targets = tuple(qubits[n_ctl:])
-        circuit.append(Gate(name, targets, controls, params))
+        try:
+            gate = Gate(name, targets, controls, params)
+        except ValueError as exc:  # a repeated operand: ``cx q[0],q[0];``
+            raise QasmError(f"{exc} in line {line!r}") from exc
+        circuit.append(gate)
     return circuit
 
 

@@ -14,7 +14,7 @@ Built-in engines (``engines()`` order):
   (aliases ``chp``, ``tableau``);
 * ``density_matrix`` — exact open-system evolution with
   Pauli-transfer-matrix noise channels (aliases ``dm``, ``rho``);
-* ``monte_carlo`` — per-shot noisy trajectories, the Fig. 6 device
+* ``monte_carlo`` — sampled noisy trajectories, the Fig. 6 device
   substitute (aliases ``mc``, ``noisy``).
 
 Adding a backend is one :func:`register` call with any object carrying

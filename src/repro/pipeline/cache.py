@@ -259,6 +259,17 @@ def _decode(value: Any) -> Any:
     return value
 
 
+#: :meth:`PassCache.gc`'s result when there is nothing to sweep.
+_EMPTY_GC = {
+    "scanned": 0,
+    "evicted": 0,
+    "quarantined": 0,
+    "pinned": 0,
+    "entries": 0,
+    "bytes": 0,
+}
+
+
 class PassCache:
     """Locked LRU cache mapping content keys to pass outputs.
 
@@ -1072,28 +1083,14 @@ class PassCache:
             ``entries``/``bytes``.
         """
         if self.path is None:
-            return {
-                "scanned": 0,
-                "evicted": 0,
-                "quarantined": 0,
-                "pinned": 0,
-                "entries": 0,
-                "bytes": 0,
-            }
+            return dict(_EMPTY_GC)
         try:
             fault_point("cache.gc.scan")
         except OSError:
             # a failed directory scan aborts the sweep (exactly as a
             # failing os.listdir does): nothing evicted, tier intact
             self._record_disk_error("cache.gc.scan")
-            return {
-                "scanned": 0,
-                "evicted": 0,
-                "quarantined": 0,
-                "pinned": 0,
-                "entries": 0,
-                "bytes": 0,
-            }
+            return dict(_EMPTY_GC)
         limit_entries = (
             max_entries if max_entries is not None else self.max_entries
         )

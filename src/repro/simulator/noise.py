@@ -14,7 +14,14 @@ The error rates come from the shared
 IBM QE5 calibration numbers — 1q ~1.5e-3, 2q ~3.5e-2, readout ~4e-2).
 Those rates reproduce the *shape* of Fig. 6: the correct outcome
 dominates at well under 1.0 probability, with a broad error floor over
-the other basis states.  The exact counterpart is the
+the other basis states.
+
+The sampling itself is the one chunked trajectory sampler,
+:func:`repro.simulator.statevector.sample_trajectories`, which also
+runs :class:`~repro.simulator.statevector.StatevectorSimulator`'s
+mid-circuit measurements; the ``monte_carlo`` engine and ProjectQ's
+``IBMBackend`` call :meth:`NoisyBackend.run`, so one seed gives one
+histogram on every path.  The exact counterpart is the
 ``density_matrix`` engine (:mod:`repro.engines.density_matrix`), which
 evolves the trajectory average of this sampler as a full density
 matrix — same depolarizing convention, no sampling error.
@@ -22,25 +29,28 @@ matrix — same depolarizing convention, no sampling error.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.circuit import QuantumCircuit
 from ..engines.noise import NoiseModel as _NoiseModel
-from . import kernels
-from .statevector import SimulationResult, Statevector, _measured_width
-
-_PAULIS = ("x", "y", "z")
+from .statevector import (
+    SimulationResult,
+    Statevector,
+    _measured_width,
+    sample_trajectories,
+)
 
 
 class NoisyBackend:
     """Monte-Carlo statevector simulator with Pauli/readout noise.
 
-    Each shot evolves a fresh statevector; after every unitary gate each
-    touched qubit is hit by a uniformly random Pauli with the model's
-    per-class probability, and measured bits are flipped with
-    ``p_meas``.  The RNG is seeded for reproducible experiments.
+    Each shot is one statevector trajectory from |0...0>; after every
+    unitary gate each touched qubit is hit by a uniformly random Pauli
+    with the model's per-class probability, and measured bits are
+    flipped with ``p_meas``.  The RNG is seeded for reproducible
+    experiments.
     """
 
     def __init__(
@@ -54,105 +64,17 @@ class NoisyBackend:
     def run(self, circuit: QuantumCircuit, shots: int = 1024) -> SimulationResult:
         """Execute ``circuit`` with noise for ``shots`` repetitions.
 
-        Gate application goes through the in-place kernel layer
-        (:mod:`repro.simulator.kernels`); per-gate error rates are
-        looked up once per circuit rather than once per shot, and the
-        injected Pauli errors skip Gate construction entirely.  No gate
-        fusion happens here — the noise model is defined per physical
-        gate, so the gate sequence must be executed verbatim.
+        All shots go through the one chunked trajectory sampler,
+        :func:`~repro.simulator.statevector.sample_trajectories`: the
+        gate sequence runs verbatim (no fusion — the noise model is
+        defined per physical gate) on batches of trajectories, with
+        Pauli errors scattered onto only the hit columns.
         """
         rng = np.random.default_rng(self._seed)
-        counts: Dict[int, int] = {}
-        model = self.noise_model
-        num_qubits = circuit.num_qubits
-        gates = [g for g in circuit.gates if g.name != "barrier"]
-        error_rates = [
-            0.0 if g.is_measurement or g.name == "reset" else model.gate_error(g)
-            for g in gates
-        ]
-        for _ in range(shots):
-            state = Statevector(num_qubits)
-            creg = 0
-            for gate, p_err in zip(gates, error_rates):
-                if gate.is_measurement:
-                    bit = state.measure_qubit(gate.targets[0], rng)
-                    if rng.random() < model.p_meas:
-                        bit ^= 1
-                    clbit = gate.cbits[0]
-                    creg = (creg & ~(1 << clbit)) | (bit << clbit)
-                    continue
-                if gate.name == "reset":
-                    state.reset_qubit(gate.targets[0], rng)
-                    continue
-                state.apply_gate(gate)
-                if p_err > 0.0:
-                    for qubit in gate.qubits:
-                        if rng.random() < p_err:
-                            pauli = _PAULIS[rng.integers(0, 3)]
-                            kernels.apply_pauli(
-                                state.data, pauli, qubit, num_qubits
-                            )
-            counts[creg] = counts.get(creg, 0) + 1
-        return SimulationResult(counts, None, shots, _measured_width(circuit))
-
-    def run_batched(
-        self, circuit: QuantumCircuit, shots: int = 1024
-    ) -> SimulationResult:
-        """Vectorized counterpart of :meth:`run`: all shots in one batch.
-
-        The ``shots`` trajectories evolve together as one
-        ``(2**n, shots)`` array on the kernels' batch axis: every gate
-        is a single batched kernel call, sampled Pauli errors are
-        scattered onto only the affected trajectory columns, and
-        measurements collapse all columns at once.  Results are
-        statistically identical to :meth:`run` but a seed does **not**
-        reproduce the looped sampler's exact counts — the vectorized
-        sampler draws its random numbers in a different order.
-        """
-        rng = np.random.default_rng(self._seed)
-        model = self.noise_model
-        num_qubits = circuit.num_qubits
-        gates = [g for g in circuit.gates if g.name != "barrier"]
-        error_rates = [
-            0.0 if g.is_measurement or g.name == "reset" else model.gate_error(g)
-            for g in gates
-        ]
-        state = kernels._zeros(num_qubits, batch=(shots,))
-        state[0, :] = 1.0
-        creg = np.zeros(shots, dtype=np.int64)
-        for gate, p_err in zip(gates, error_rates):
-            if gate.is_measurement:
-                bits = _measure_batch(state, num_qubits, gate.targets[0], rng)
-                if model.p_meas > 0.0:
-                    bits ^= rng.random(shots) < model.p_meas
-                clbit = gate.cbits[0]
-                creg = (creg & ~(1 << clbit)) | (
-                    bits.astype(np.int64) << clbit
-                )
-                continue
-            if gate.name == "reset":
-                _reset_batch(state, num_qubits, gate.targets[0], rng)
-                continue
-            if not kernels.apply_gate(state, gate, num_qubits):
-                kernels.apply_matrix(
-                    state, gate.matrix(), gate.qubits, num_qubits
-                )
-            if p_err > 0.0:
-                for qubit in gate.qubits:
-                    hit = rng.random(shots) < p_err
-                    if not hit.any():
-                        continue
-                    choice = rng.integers(0, 3, shots)
-                    for pidx, pauli in enumerate(_PAULIS):
-                        cols = np.nonzero(hit & (choice == pidx))[0]
-                        if cols.size == 0:
-                            continue
-                        sub = np.ascontiguousarray(state[:, cols])
-                        kernels.apply_pauli(sub, pauli, qubit, num_qubits)
-                        state[:, cols] = sub
-        counts: Dict[int, int] = {}
-        for value, count in zip(*np.unique(creg, return_counts=True)):
-            counts[int(value)] = int(count)
+        initial = Statevector(circuit.num_qubits).data
+        counts, _ = sample_trajectories(
+            initial, circuit.gates, shots, rng, self.noise_model
+        )
         return SimulationResult(counts, None, shots, _measured_width(circuit))
 
     def run_repeated(
@@ -176,37 +98,3 @@ class NoisyBackend:
                 probs[rep, outcome] = count / shots
         return probs.mean(axis=0), probs.std(axis=0)
 
-
-def _measure_batch(
-    state: np.ndarray, num_qubits: int, qubit: int, rng
-) -> np.ndarray:
-    """Measure ``qubit`` on every batch column, collapsing in place.
-
-    Returns the boolean outcome per column.  Columns keep unit norm;
-    degenerate branches (probability ~0) are never selected, so the
-    clipped divisors below only guard against 0/0.
-    """
-    t = state.reshape((2,) * num_qubits + (-1,))
-    axis = num_qubits - 1 - qubit
-    tm = np.moveaxis(t, axis, 0)  # view: (2, ..., shots)
-    p1 = np.abs(tm[1].reshape(-1, state.shape[-1])) ** 2
-    p1 = np.minimum(p1.sum(axis=0), 1.0)
-    bits = rng.random(p1.shape[0]) < p1
-    inv0 = np.where(bits, 0.0, 1.0 / np.sqrt(np.maximum(1.0 - p1, 1e-300)))
-    inv1 = np.where(bits, 1.0 / np.sqrt(np.maximum(p1, 1e-300)), 0.0)
-    tm[0] *= inv0
-    tm[1] *= inv1
-    return bits
-
-
-def _reset_batch(
-    state: np.ndarray, num_qubits: int, qubit: int, rng
-) -> None:
-    """Reset ``qubit`` to |0> on every batch column (measure + flip)."""
-    bits = _measure_batch(state, num_qubits, qubit, rng)
-    cols = np.nonzero(bits)[0]
-    if cols.size:
-        t = state.reshape((2,) * num_qubits + (-1,))
-        tm = np.moveaxis(t, num_qubits - 1 - qubit, 0)
-        tm[0][..., cols] = tm[1][..., cols]
-        tm[1][..., cols] = 0.0

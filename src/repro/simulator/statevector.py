@@ -32,21 +32,25 @@ than they have gates.
 
 Sampling is vectorized: measurement histograms are produced by numpy
 bit-gathers over the sampled outcome array plus ``np.unique`` instead
-of per-shot Python loops, and shot-based runs with mid-circuit
-measurements share the deterministic unitary prefix across shots
-instead of re-evolving every shot from |0...0>.
+of per-shot Python loops.  Runs with mid-circuit measurements evolve
+the deterministic unitary prefix once and hand the rest to the one
+chunked trajectory sampler, :func:`sample_trajectories`, which also
+drives the noisy backend.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.circuit import QuantumCircuit
 from ..core.gates import Gate
 from . import kernels
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..engines.noise import NoiseModel
 
 
 class SimulationError(RuntimeError):
@@ -174,20 +178,11 @@ class Statevector:
         self, qubit: int, rng: np.random.Generator
     ) -> int:
         """Projectively measure one qubit, collapsing the state."""
-        view = self.data.reshape(-1, 2, 1 << qubit)
-        p_one = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-        outcome = 1 if rng.random() < p_one else 0
-        prob = p_one if outcome else 1.0 - p_one
-        if prob <= 0.0:
-            raise SimulationError("measurement of zero-probability branch")
-        view[:, 1 - outcome, :] = 0.0
-        self.data *= 1.0 / math.sqrt(prob)
-        return outcome
+        return int(_measure_batch(self.data, qubit, rng)[0])
 
     def reset_qubit(self, qubit: int, rng: np.random.Generator) -> None:
         """Measure and, if 1, flip back to |0>."""
-        if self.measure_qubit(qubit, rng) == 1:
-            kernels.apply_pauli(self.data, "x", qubit, self.num_qubits)
+        _reset_batch(self.data, qubit, rng)
 
     def sample_counts(
         self,
@@ -232,6 +227,167 @@ def _bit_gather_counts(
         keys |= ((outcomes >> src) & 1) << dest
     values, counts = np.unique(keys, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
+
+
+#: largest trajectory chunk, in bytes of amplitudes: shots evolve as
+#: the columns of one ``(2**n, k)`` array holding at most this much
+#: (but always at least one column).
+_CHUNK_BYTES = 1 << 20
+
+_PAULIS = ("x", "y", "z")
+
+
+def sample_trajectories(
+    initial: np.ndarray,
+    gates: Sequence[Gate],
+    shots: int,
+    rng: np.random.Generator,
+    noise: Optional["NoiseModel"] = None,
+) -> Tuple[Dict[int, int], Optional[np.ndarray]]:
+    """Sample ``shots`` trajectories of ``gates`` from ``initial``.
+
+    The one shot sampler behind :class:`StatevectorSimulator`'s
+    mid-circuit runs and :class:`~repro.simulator.noise.NoisyBackend`.
+    Shots evolve in chunks as the columns of a ``(2**n, k)`` array,
+    ``k`` set by :data:`_CHUNK_BYTES`; a one-column chunk runs on the
+    flat state.  Every gate is one kernel call per chunk, measurements
+    and resets collapse all columns at once, and the gate sequence is
+    executed verbatim (no fusion: noise is defined per physical gate).
+
+    With a ``noise`` model each qubit a unitary gate touches suffers a
+    uniformly random Pauli with the model's per-gate probability,
+    scattered onto only the hit columns, and measured bits flip with
+    ``p_meas``.  Seeded counts depend on the draw order within a
+    chunk: one collapse draw per column, then the readout flips; per
+    touched qubit, the hit mask, then (only if anything hit) the Pauli
+    choices.
+
+    Args:
+        initial: the flat start state, broadcast into every column.
+        gates: the gates to run (barriers are skipped).
+        shots: trajectory count.
+        rng: the random generator for collapses and errors.
+        noise: optional Pauli/readout noise model.
+
+    Returns:
+        ``(counts, last)``: the classical-register histogram and the
+        final state of the last trajectory (``None`` for zero shots).
+    """
+    num_qubits = initial.shape[0].bit_length() - 1
+    gates = [g for g in gates if g.name != "barrier"]
+    p_meas = 0.0 if noise is None else noise.p_meas
+    error_rates = [
+        0.0
+        if noise is None or g.is_measurement or g.name == "reset"
+        else noise.gate_error(g)
+        for g in gates
+    ]
+    width = max(1, min(shots, _CHUNK_BYTES // initial.nbytes))
+    registers = []
+    last = None
+    for start in range(0, shots, width):
+        k = min(width, shots - start)
+        state = (
+            initial.copy() if k == 1 else np.repeat(initial[:, None], k, 1)
+        )
+        creg = np.zeros(k, dtype=np.int64)
+        for gate, p_err in zip(gates, error_rates):
+            if gate.is_measurement:
+                bits = _measure_batch(state, gate.targets[0], rng)
+                if p_meas > 0.0:
+                    bits ^= rng.random(k) < p_meas
+                clbit = gate.cbits[0]
+                creg = (creg & ~(1 << clbit)) | (
+                    bits.astype(np.int64) << clbit
+                )
+                continue
+            if gate.name == "reset":
+                _reset_batch(state, gate.targets[0], rng)
+                continue
+            if not kernels.apply_gate(state, gate, num_qubits):
+                kernels.apply_matrix(
+                    state, gate.matrix(), gate.qubits, num_qubits
+                )
+            if p_err > 0.0:
+                for qubit in gate.qubits:
+                    _pauli_errors(state, qubit, p_err, rng, num_qubits)
+        registers.append(creg)
+        last = state if k == 1 else state[:, -1]
+    if not registers:
+        return {}, None
+    values, counts = np.unique(np.concatenate(registers), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}, last
+
+
+def _columns(state: np.ndarray) -> int:
+    """Trajectory count of a chunk (a flat state is one column)."""
+    return 1 if state.ndim == 1 else state.shape[1]
+
+
+def _measure_batch(
+    state: np.ndarray, qubit: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Measure ``qubit`` on every chunk column, collapsing in place.
+
+    Returns the boolean outcome per column.  Columns keep unit norm;
+    degenerate branches (probability ~0) are never selected, so the
+    clipped divisors below only guard against 0/0.
+    """
+    k = _columns(state)
+    half = 1 << qubit
+    floats = state.view(np.float64).reshape(-1, 2, half * 2 * k)[:, 1]
+    if k == 1:  # a flat state: one BLAS dot over the |1> blocks
+        p1 = np.einsum("ab,ab->", floats, floats).reshape(1)
+    else:
+        floats = floats.reshape(floats.shape[0], half, 2 * k)
+        p1 = np.einsum("abk,abk->k", floats, floats)
+        p1 = p1.reshape(k, 2).sum(axis=1)
+    p1 = np.minimum(p1, 1.0)
+    bits = rng.random(k) < p1
+    inv0 = np.where(bits, 0.0, 1.0 / np.sqrt(np.maximum(1.0 - p1, 1e-300)))
+    inv1 = np.where(bits, 1.0 / np.sqrt(np.maximum(p1, 1e-300)), 0.0)
+    # scale rows laid out like one (half, k) block, so each multiply
+    # runs over whole contiguous blocks instead of k-wide strips
+    view = state.reshape(-1, 2, half * k)
+    view[:, 0] *= inv0 if k == 1 else np.tile(inv0, half)
+    view[:, 1] *= inv1 if k == 1 else np.tile(inv1, half)
+    return bits
+
+
+def _reset_batch(
+    state: np.ndarray, qubit: int, rng: np.random.Generator
+) -> None:
+    """Reset ``qubit`` to |0> on every chunk column (measure + flip)."""
+    bits = _measure_batch(state, qubit, rng)
+    cols = np.nonzero(bits)[0]
+    if cols.size:
+        view = state.reshape(-1, 2, 1 << qubit, _columns(state))
+        view[:, 0, :, cols] = view[:, 1, :, cols]
+        view[:, 1, :, cols] = 0.0
+
+
+def _pauli_errors(
+    state: np.ndarray,
+    qubit: int,
+    p_err: float,
+    rng: np.random.Generator,
+    num_qubits: int,
+) -> None:
+    """Hit ``qubit`` of each column with a random Pauli at rate ``p_err``."""
+    k = _columns(state)
+    hit = rng.random(k) < p_err
+    if not hit.any():
+        return
+    choice = rng.integers(0, 3, k)
+    if state.ndim == 1:
+        kernels.apply_pauli(state, _PAULIS[choice[0]], qubit, num_qubits)
+        return
+    for pidx, pauli in enumerate(_PAULIS):
+        cols = np.nonzero(hit & (choice == pidx))[0]
+        if cols.size:
+            sub = np.ascontiguousarray(state[:, cols])
+            kernels.apply_pauli(sub, pauli, qubit, num_qubits)
+            state[:, cols] = sub
 
 
 class StatevectorSimulator:
@@ -286,31 +442,17 @@ class StatevectorSimulator:
             return SimulationResult(counts, state, shots, num_clbits)
 
         # mid-circuit measurement: evolve the deterministic unitary
-        # prefix once and re-simulate only the suffix per shot.
+        # prefix once, fused, and sample only the suffix per shot.
         split = _first_nonunitary_index(circuit)
         base = initial_state.copy() if initial_state else (
             Statevector(circuit.num_qubits)
         )
         _evolve_gates(base, circuit.gates[:split], self._fusion)
-        suffix = circuit.gates[split:]
-
-        counts: Dict[int, int] = {}
-        last_state = None
-        for _ in range(shots):
-            state = base.copy()
-            creg = 0
-            for gate in suffix:
-                if gate.is_measurement:
-                    bit = state.measure_qubit(gate.targets[0], rng)
-                    clbit = gate.cbits[0]
-                    creg = (creg & ~(1 << clbit)) | (bit << clbit)
-                elif gate.name == "reset":
-                    state.reset_qubit(gate.targets[0], rng)
-                else:
-                    state.apply_gate(gate)
-            counts[creg] = counts.get(creg, 0) + 1
-            last_state = state
-        return SimulationResult(counts, last_state, shots, num_clbits)
+        counts, last = sample_trajectories(
+            base.data, circuit.gates[split:], shots, rng
+        )
+        final = None if last is None else Statevector(circuit.num_qubits, last)
+        return SimulationResult(counts, final, shots, num_clbits)
 
     def statevector(self, circuit: QuantumCircuit) -> Statevector:
         """Evolve |0..0> through a unitary circuit and return the state."""

@@ -36,6 +36,14 @@ class TestCompileMany:
     def test_empty_batch(self):
         assert CompilerSession(cache=None).compile_many([]) == []
 
+    def test_uncached_stats_match_the_cache_counters(self, tmp_path):
+        # a cache-less session reports the same keys, all zero, as a
+        # live cache does (memory-only and disk-backed alike)
+        stats = CompilerSession(cache=None).cache_stats()
+        assert set(stats.values()) == {0}
+        assert set(stats) == set(PassCache().stats())
+        assert set(stats) == set(PassCache(path=str(tmp_path)).stats())
+
     def test_invalid_executor(self):
         with pytest.raises(PipelineError, match="unknown executor"):
             CompilerSession(executor="fiber")

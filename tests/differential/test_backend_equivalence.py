@@ -1,7 +1,7 @@
 """Differential harness for the kernel execution paths.
 
 Property: however the kernels execute a circuit — fused or unfused,
-batched or looped, per-shot or batched noisy trajectories — the
+batched or looped, one trajectory column or a chunk of them — the
 amplitudes must agree to 1e-12.
 """
 
@@ -94,40 +94,40 @@ class TestNumpyProperties:
         evolve_batch(circ, batched)
         np.testing.assert_allclose(batched, looped, atol=ATOL)
 
-    def test_run_batched_noiseless_matches_exact_distribution(self):
+    def test_noisy_run_noiseless_matches_exact_distribution(self):
         bell = QuantumCircuit(2, 2)
         bell.h(0)
         bell.cx(0, 1)
         bell.measure(0, 0)
         bell.measure(1, 1)
-        result = NoisyBackend(NoiseModel.noiseless(), seed=5).run_batched(
+        result = NoisyBackend(NoiseModel.noiseless(), seed=5).run(
             bell, shots=4000
         )
         assert set(result.counts) == {0, 3}
         assert sum(result.counts.values()) == 4000
         assert abs(result.counts[0] / 4000 - 0.5) < 0.05
 
-    def test_run_batched_noisy_keeps_bell_dominant(self):
+    def test_noisy_run_keeps_bell_dominant(self):
         bell = QuantumCircuit(2, 2)
         bell.h(0)
         bell.cx(0, 1)
         bell.measure(0, 0)
         bell.measure(1, 1)
-        result = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=5).run_batched(
+        result = NoisyBackend(NoiseModel.ibm_qe_2018(), seed=5).run(
             bell, shots=4000
         )
         assert sum(result.counts.values()) == 4000
         dominant = (result.counts.get(0, 0) + result.counts.get(3, 0)) / 4000
         assert dominant > 0.75  # QE5 rates: correct pair dominates
 
-    def test_run_batched_handles_reset_and_midcircuit_measure(self):
+    def test_noisy_run_handles_reset_and_midcircuit_measure(self):
         circ = QuantumCircuit(2, 2)
         circ.h(0)
         circ.measure(0, 0)
         circ.reset(0)
         circ.x(0)
         circ.measure(0, 1)
-        result = NoisyBackend(NoiseModel.noiseless(), seed=2).run_batched(
+        result = NoisyBackend(NoiseModel.noiseless(), seed=2).run(
             circ, shots=600
         )
         # bit 1 is always 1 after reset + x; bit 0 is a fair coin

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import repro
 from repro import emit
 from repro.core.circuit import QuantumCircuit
 
@@ -160,6 +161,42 @@ class TestQasm2ExternalFiles:
 
         with pytest.raises(QasmError, match="OpenQASM 3 import"):
             emit.parse("OPENQASM 3.0;\nqubit[2] q;\n", "qasm2")
+
+    @pytest.mark.parametrize(
+        "statement, angle",
+        [("rz(-(pi/4)) q[0];", -math.pi / 4), ("rz((pi)/2) q[0];", math.pi / 2)],
+    )
+    def test_nested_parentheses_in_parameters(self, statement, angle):
+        circ = emit.parse(
+            f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{statement}\n',
+            "qasm2",
+        )
+        assert [g.name for g in circ.gates] == ["rz"]
+        assert circ.gates[0].params == pytest.approx((angle,))
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            ("cx q[0];", "2 qubit operand"),
+            ("rz q[0];", "1 parameter"),
+            ("h(0.5) q[0];", "0 parameter"),
+            ("h q[0],q[1];", "1 qubit operand"),
+            ("swap q[0];", "2 qubit operand"),
+            ("cx q[0],q[0];", "duplicate qubit"),
+            ("reset;", "1 qubit operand"),
+            ("reset(1) q[0];", "0 parameter"),
+        ],
+    )
+    def test_operand_and_parameter_counts_checked(self, statement, message):
+        from repro.emit.qasm2 import QasmError
+
+        text = f"OPENQASM 2.0;\nqreg q[2];\n{statement}\n"
+        with pytest.raises(QasmError, match=message):
+            emit.parse(text, "qasm2")
+        # the compiler front door reports the parser's typed error
+        with pytest.raises(TypeError, match=message) as info:
+            repro.compile(text, target="clifford_t", cache=None)
+        assert isinstance(info.value.__cause__, QasmError)
 
 
 class TestQir:

@@ -102,48 +102,22 @@ class TestStabilizerAdapter:
 
 class TestMonteCarloAdapter:
     def test_counts_identical_to_direct_path(self):
-        # batched=False pins the historical per-shot loop and its RNG
-        # stream (the default now routes through run_batched)
+        # one trajectory sampler: the engine is NoisyBackend.run
         circuit = _universal_circuit()
         model = NoiseModel.ibm_qe_2018()
         for seed in (0, 42):
             direct = NoisyBackend(model, seed=seed).run(circuit, shots=200)
             via = engines.run(
-                "monte_carlo", circuit, shots=200, noise=model, seed=seed,
-                batched=False,
+                "monte_carlo", circuit, shots=200, noise=model, seed=seed
             )
             assert via.counts == direct.counts
 
-    def test_default_routes_through_batched_sweep(self):
-        # trajectory-safe model within the memory guard: the default
-        # (batched=None) must reproduce the batched sweep's stream
-        circuit = _universal_circuit()
-        model = NoiseModel.ibm_qe_2018()
-        for seed in (0, 42):
-            batched = NoisyBackend(model, seed=seed).run_batched(
-                circuit, shots=200
+    def test_batched_option_rejected(self):
+        # every run takes the one trajectory sampler: nothing to pick
+        with pytest.raises(engines.EngineError, match="unknown option 'batched'"):
+            engines.run(
+                "monte_carlo", _universal_circuit(), shots=8, batched=False
             )
-            via = engines.run(
-                "monte_carlo", circuit, shots=200, noise=model, seed=seed
-            )
-            assert via.counts == batched.counts
-
-    def test_memory_guard_falls_back_to_loop(self):
-        # an oversized shots x 2**n batch must fall back to the
-        # per-shot loop without the caller asking
-        circuit = _universal_circuit()
-        model = NoiseModel.ibm_qe_2018()
-        engine = engines.get("monte_carlo")
-        guard = engine.max_batch_bytes
-        try:
-            engine.max_batch_bytes = 0
-            via = engines.run(
-                "monte_carlo", circuit, shots=50, noise=model, seed=7
-            )
-        finally:
-            engine.max_batch_bytes = guard
-        direct = NoisyBackend(model, seed=7).run(circuit, shots=50)
-        assert via.counts == direct.counts
 
     def test_none_noise_means_noiseless(self):
         # unlike raw NoisyBackend (which defaults to QE5), the engine

@@ -150,7 +150,7 @@ class TestSimulatorRuns:
         assert a == b
 
     def test_mid_circuit_measurement(self):
-        # measure then use the qubit again: forces per-shot path
+        # measure then use the qubit again: forces the trajectory sampler
         circ = QuantumCircuit(1, 2)
         circ.h(0)
         circ.measure(0, 0)
