@@ -7,8 +7,7 @@ ccx) before export.  The importer supports the subset the exporter
 emits, which is enough for round-trip tests (emit → parse → emit is a
 fixed point) and for feeding external tools.
 
-This module is the implementation behind the ``qasm2`` registry entry;
-``repro.core.qasm`` forwards here as a deprecation shim.
+This module is the implementation behind the ``qasm2`` registry entry.
 """
 
 from __future__ import annotations
@@ -143,10 +142,8 @@ def _format_angle(value: float) -> str:
 _GATE_RE = re.compile(
     r"^(?P<name>[a-z][a-z0-9]*)\s*(?:\((?P<params>.*)\))?\s*(?P<args>.*);$"
 )
-_MEASURE_RE = re.compile(
-    r"^measure\s+(\w+)\[(\d+)\]\s*->\s*(\w+)\[(\d+)\];$"
-)
-_OPERAND_RE = re.compile(r"(\w+)\[(\d+)\]")
+_MEASURE_RE = re.compile(r"^measure\s+(?P<qubit>.*?)\s*->\s*(?P<clbit>.*);$")
+_OPERAND_RE = re.compile(r"(\w+)\s*\[\s*(\d+)\s*\]")
 
 
 _ANGLE_OPS = {
@@ -224,6 +221,34 @@ def _wire_lookup(registers, kind):
     return resolve
 
 
+def _operand(line: str, text: str) -> Tuple[str, int]:
+    """Parse one ``reg[idx]`` operand into ``(reg, idx)``.
+
+    Raises:
+        QasmError: for a whole-register operand (``h q;``) or any text
+            that is not exactly one indexed operand.
+    """
+    text = text.strip()
+    match = _OPERAND_RE.fullmatch(text)
+    if match:
+        return match.group(1), int(match.group(2))
+    if re.fullmatch(r"\w+", text):
+        raise QasmError(
+            f"whole-register operand {text!r} in line {line!r} is "
+            f"unsupported; index each wire ({text}[0], {text}[1], ...)"
+        )
+    raise QasmError(
+        f"bad operand {text!r} in line {line!r}; expected reg[index]"
+    )
+
+
+def _operands(line: str, text: str) -> List[Tuple[str, int]]:
+    """Parse a ``reg[idx](, reg[idx])*`` operand list (may be empty)."""
+    if not text.strip():
+        return []
+    return [_operand(line, part) for part in text.split(",")]
+
+
 def _check_count(line: str, what: str, expected: int, got: int) -> None:
     """Raise unless a statement carries the expected number of ``what``."""
     if got != expected:
@@ -238,7 +263,9 @@ def from_qasm(text: str) -> "QuantumCircuit":
     Externally produced files are welcome too: named and multiple
     ``qreg``/``creg`` declarations flatten onto one register in
     declaration order, and operands referencing undeclared registers
-    raise :class:`QasmError` instead of being dropped.
+    raise :class:`QasmError` instead of being dropped.  Operand lists
+    must be exactly ``reg[idx](, reg[idx])*``; whole-register operands
+    (``h q;``, ``measure q -> c;``) raise :class:`QasmError`.
     """
     from ..core.circuit import QuantumCircuit
 
@@ -279,8 +306,8 @@ def from_qasm(text: str) -> "QuantumCircuit":
         match = _MEASURE_RE.match(line)
         if match:
             circuit.measure(
-                qubit_of(match.group(1), int(match.group(2))),
-                clbit_of(match.group(3), int(match.group(4))),
+                qubit_of(*_operand(line, match.group("qubit"))),
+                clbit_of(*_operand(line, match.group("clbit"))),
             )
             continue
         match = _GATE_RE.match(line)
@@ -288,8 +315,8 @@ def from_qasm(text: str) -> "QuantumCircuit":
             raise QasmError(f"cannot parse line {line!r}")
         qasm_name = match.group("name")
         qubits = [
-            qubit_of(reg, int(idx))
-            for reg, idx in _OPERAND_RE.findall(match.group("args"))
+            qubit_of(reg, idx)
+            for reg, idx in _operands(line, match.group("args"))
         ]
         texts = match.group("params")
         texts = texts.split(",") if texts else []

@@ -1,12 +1,11 @@
 """Q# backend — the Fig. 10 oracle operation as a registry emitter.
 
-The emitted text is exactly what
-``repro.frameworks.qsharp.operation_from_circuit`` historically
-produced (a self-adjointable operation over a ``Qubit[]`` register);
-that entry point now forwards here through the registry.  The gate
-vocabulary and the statement parser stay in
-:mod:`repro.frameworks.qsharp`, the source of truth for the Q#
-dialect.
+The emitted text is a self-adjointable operation over a ``Qubit[]``
+register, the form :mod:`repro.frameworks.qsharp` bundles with its
+executable circuit (``_operation_from_circuit`` dispatches here
+through the registry).  The gate vocabulary and the statement parser
+stay in :mod:`repro.frameworks.qsharp`, the source of truth for the
+Q# dialect.
 """
 
 from __future__ import annotations

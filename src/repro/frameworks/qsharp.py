@@ -93,43 +93,6 @@ def _operation_from_circuit(
     return QSharpOperation(name, code, circuit.copy())
 
 
-_OPERATION_SHIM_WARNED = False
-
-
-def operation_from_circuit(
-    name: str,
-    circuit: QuantumCircuit,
-    namespace: str = "Repro.Quantum.PermOracle",
-) -> QSharpOperation:
-    """Emit a circuit as a self-adjointable Q# operation (Fig. 10 style).
-
-    .. deprecated:: 1.1
-        The text generation lives in the ``qsharp`` backend of the
-        :mod:`repro.emit` registry
-        (``repro.emit.emit(circuit, "qsharp", name=...)``); this shim
-        forwards there and warns once per process.
-
-    Args:
-        name: the Q# operation name to emit.
-        circuit: the compiled circuit to render.
-        namespace: the Q# namespace wrapping the operation.
-
-    Returns:
-        The generated operation with its executable circuit attached.
-    """
-    global _OPERATION_SHIM_WARNED
-    if not _OPERATION_SHIM_WARNED:
-        _OPERATION_SHIM_WARNED = True
-        warnings.warn(
-            "frameworks.qsharp.operation_from_circuit is deprecated; "
-            "use repro.emit.emit(circuit, 'qsharp', name=...) (the "
-            "registry keeps the same Fig. 10 text)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _operation_from_circuit(name, circuit, namespace=namespace)
-
-
 def _resolve_target(target, synth, entry_name: str):
     """Resolve an entry point's target, honoring the deprecated synth=.
 

@@ -18,6 +18,7 @@ benchmarks all execute through this runner.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -42,20 +43,31 @@ SINGLE_FLIGHT_TIMEOUT = 60.0
 ON_ERROR_POLICIES = ("raise", "retry", "fallback")
 
 
+def _as_timeout(value: Any) -> Optional[float]:
+    """``value`` as a waitable timeout in seconds, or ``None`` if it is not.
+
+    Valid timeouts run from 0 to ``threading.TIMEOUT_MAX``: NaN and
+    negative values would silently mean "do not wait", and infinite or
+    larger ones make ``Event.wait`` raise ``OverflowError``.
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 <= seconds <= threading.TIMEOUT_MAX else None
+
+
 def _default_follower_timeout() -> float:
     """Resolve the follower timeout: env override, then the constant.
 
     Read at wait time (not construction), so tests and operators can
     adjust ``REPRO_SINGLE_FLIGHT_TIMEOUT`` — or monkeypatch
-    :data:`SINGLE_FLIGHT_TIMEOUT` — without rebuilding pipelines.
+    :data:`SINGLE_FLIGHT_TIMEOUT` — without rebuilding pipelines.  An
+    unparsable, non-finite, negative or oversized override falls back
+    to the constant.
     """
-    raw = os.environ.get("REPRO_SINGLE_FLIGHT_TIMEOUT")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return SINGLE_FLIGHT_TIMEOUT
+    seconds = _as_timeout(os.environ.get("REPRO_SINGLE_FLIGHT_TIMEOUT"))
+    return SINGLE_FLIGHT_TIMEOUT if seconds is None else seconds
 
 
 class VerificationError(PipelineError):
@@ -287,7 +299,9 @@ class Pipeline:
         follower_timeout: how long a single-flight follower waits for
             the leader's result before recomputing itself; ``None``
             (default) resolves ``REPRO_SINGLE_FLIGHT_TIMEOUT`` and
-            then :data:`SINGLE_FLIGHT_TIMEOUT` at wait time.
+            then :data:`SINGLE_FLIGHT_TIMEOUT` at wait time.  Values
+            outside ``[0, threading.TIMEOUT_MAX]`` (NaN, infinity,
+            negatives) raise :class:`~.state.PipelineError`.
         deadline: default compute budget for :meth:`run`/:meth:`apply`
             — a :class:`~repro.resilience.Deadline` or seconds from
             now; checked at cooperative checkpoints (between passes,
@@ -318,9 +332,12 @@ class Pipeline:
             self.cache: Optional[PassCache] = shared_cache()
         else:
             self.cache = cache
-        self.follower_timeout = (
-            float(follower_timeout) if follower_timeout is not None else None
-        )
+        self.follower_timeout = _as_timeout(follower_timeout)
+        if follower_timeout is not None and self.follower_timeout is None:
+            raise PipelineError(
+                "follower_timeout must be a number of seconds from 0 "
+                f"to {threading.TIMEOUT_MAX:g}, got {follower_timeout!r}"
+            )
         self.deadline = as_deadline(deadline)
         self.retry = as_retry(retry)
         self.on_error = _check_on_error(on_error)

@@ -35,8 +35,10 @@ truncating the imaginary parts to zero (the historical behaviour was
 an all-zero state plus a ``ComplexWarning``); ``Statevector(n, data)``
 — or ``np.asarray(data, dtype=complex)`` — upcasts on ingest.
 
-:func:`compile_circuit` is the gate-fusion pre-pass used by
-``Statevector.evolve``.  It runs three stages:
+:func:`compile_circuit` is the gate-fusion pre-pass the simulator
+runs on states of at least :data:`FUSION_MIN_AMPLITUDES` amplitudes
+(smaller states evolve unfused, where the pre-pass would cost more
+than it saves).  It runs three stages:
 
 1. wire-adjacent runs of single-qubit gates fold into one 2x2 matrix
    (products collapsing to the identity are dropped);
@@ -95,8 +97,19 @@ SINGLE_QUBIT_BASES = frozenset(
 #: qubits (the merged diagonal stores 2^m entries).
 DIAG_FUSION_MAX_QUBITS = 12
 
-#: default upper bound on the qubit count of a fused matmul block.
+#: upper bound on the qubit count of a fused matmul block.
 DEFAULT_BLOCK_QUBITS = 5
+
+#: smallest state (amplitudes, batch columns included) the simulator
+#: fuses.  Below it the pre-pass costs more than the sweeps it saves.
+#: Measured on the repo's compiled Clifford+T circuits, fused/unfused
+#: ``compile_circuit`` + ``apply_ops`` in ms (2-core VM): 6 x 7-line
+#: perms (11 qubits) 1900/1113; 6 x 5-line perms (7 qubits) 149/70;
+#: 8-line perm (13 qubits) 1414/1054; 9-line perm (15 qubits)
+#: 4822/5610; MM hidden shift at 12/14/20 qubits 2.3/2.3, 4.5/6.7,
+#: 144/748; 22-qubit hidden shifts 1994/21463.  Break-even sits
+#: between 2**13 and 2**14 amplitudes.
+FUSION_MIN_AMPLITUDES = 1 << 14
 
 #: how far block fusion scans ahead for absorbable commuting ops.
 BLOCK_LOOKAHEAD = 256
@@ -326,26 +339,6 @@ _GENERIC_WEIGHT = 1.0
 #: many generic single-qubit sweeps; measured on the dev box to f = 6).
 _BLOCK_GAIN = {1: 0.7, 2: 1.0, 3: 1.1, 4: 1.3, 5: 1.9, 6: 3.0}
 
-#: per-qubit growth factor extrapolating the gain curve past f = 6
-#: (the measured tail grows ~1.5-1.6x per qubit: one more qubit
-#: doubles the matmul flops but also doubles the amplitudes each
-#: member kernel would sweep).
-_BLOCK_GAIN_GROWTH = 1.6
-
-
-def _block_gain(f: int) -> float:
-    """Break-even member weight for an ``f``-qubit fused block.
-
-    Measured values cover f <= 6; larger blocks extrapolate the curve
-    geometrically instead of returning infinity, so an oversized
-    ``block_size`` degrades predictably rather than silently disabling
-    fusion (historically ``block_size=7`` never fused anything).
-    """
-    if f in _BLOCK_GAIN:
-        return _BLOCK_GAIN[f]
-    top = max(_BLOCK_GAIN)
-    return _BLOCK_GAIN[top] * _BLOCK_GAIN_GROWTH ** (f - top)
-
 
 def _op_weight(op: CompiledOp) -> float:
     """Estimate the kernel cost of an op, in generic-1q-sweep units."""
@@ -397,8 +390,8 @@ def _block_matrix(
     return np.ascontiguousarray(unitary)
 
 
-def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
-    """Greedily group ops into multi-qubit matmul blocks.
+def _fuse_blocks(ops: List[CompiledOp]) -> List[CompiledOp]:
+    """Greedily group ops into matmul blocks of ``DEFAULT_BLOCK_QUBITS``.
 
     Standard simulator gate fusion: starting from a seed op, absorb any
     later op whose qubits fit in the growing block support and that
@@ -418,7 +411,7 @@ def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
             continue
         used[i] = True
         seed_qubits = _op_qubits(ops[i])
-        if len(seed_qubits) > max_qubits:
+        if len(seed_qubits) > DEFAULT_BLOCK_QUBITS:
             out.append(ops[i])
             continue
         support = set(seed_qubits)
@@ -429,7 +422,9 @@ def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
             if used[j]:
                 continue
             qubits = set(_op_qubits(ops[j]))
-            if not (qubits & blocked) and len(support | qubits) <= max_qubits:
+            if not (qubits & blocked) and (
+                len(support | qubits) <= DEFAULT_BLOCK_QUBITS
+            ):
                 used[j] = True
                 support |= qubits
                 members.append(ops[j])
@@ -437,7 +432,7 @@ def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
             else:
                 blocked |= qubits
         f = len(support)
-        if len(members) >= 2 and weight >= _block_gain(f):
+        if len(members) >= 2 and weight >= _BLOCK_GAIN[f]:
             qubits_desc = tuple(sorted(support, reverse=True))
             out.append(("block", (qubits_desc, _block_matrix(members, qubits_desc))))
         else:
@@ -445,23 +440,17 @@ def _fuse_blocks(ops: List[CompiledOp], max_qubits: int) -> List[CompiledOp]:
     return out
 
 
-def compile_circuit(
-    gates: Iterable[Gate],
-    fuse: bool = True,
-    block_size: int = DEFAULT_BLOCK_QUBITS,
-) -> List[CompiledOp]:
+def compile_circuit(gates: Iterable[Gate], fuse: bool = True) -> List[CompiledOp]:
     """Compile a unitary gate sequence into fused kernel ops.
 
     Fusion folds wire-adjacent runs of single-qubit gates into one 2x2
     matrix (products that collapse to the identity are dropped), merges
     consecutive diagonal gates into one local diagonal of at most
     ``DIAG_FUSION_MAX_QUBITS`` qubits, and groups the remaining ops
-    into matmul blocks of at most ``block_size`` qubits where that
-    wins (the break-even curve is measured to 6 qubits and
-    extrapolated geometrically beyond, so oversized block sizes still
-    fuse).  With ``fuse=False`` the gates pass through one-to-one
-    (still kernel-dispatched); ``block_size=0`` disables only the
-    block stage.
+    into matmul blocks of at most ``DEFAULT_BLOCK_QUBITS`` qubits
+    where that wins.  With ``fuse=False`` the gates pass through
+    one-to-one (still kernel-dispatched).  The simulator picks the
+    path by state size (:data:`FUSION_MIN_AMPLITUDES`).
     """
     if not fuse:
         return [("gate", g) for g in gates if g.name not in ("barrier", "id")]
@@ -506,10 +495,7 @@ def compile_circuit(
         ops.append(("gate", gate))
     for q in list(pending):
         flush(q)
-    ops = _fuse_diagonals(ops)
-    if block_size:
-        ops = _fuse_blocks(ops, block_size)
-    return ops
+    return _fuse_blocks(_fuse_diagonals(ops))
 
 
 def apply_ops(

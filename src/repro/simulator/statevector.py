@@ -22,13 +22,22 @@ the slices it touches —
   :meth:`Statevector.apply_matrix`) falls back to a generic in-place
   ``2^k``-slice kernel.
 
-:meth:`Statevector.evolve` additionally runs the gate-fusion pre-pass
-(:func:`repro.simulator.kernels.compile_circuit`): wire-adjacent runs
-of single-qubit gates collapse into one 2x2 matrix, consecutive
-diagonal gates merge into a single local diagonal, and the remaining
-ops are grouped into multi-qubit blocks executed as one BLAS matmul
-each, so deep Clifford+T circuits execute far fewer full-state sweeps
-than they have gates.
+:meth:`Statevector.evolve`, :func:`evolve_batch` and every
+:class:`StatevectorSimulator` run share one evolution path that picks
+fusion by state size, not by option.  States of at least
+:data:`~repro.simulator.kernels.FUSION_MIN_AMPLITUDES` (``2**14``)
+amplitudes, batch columns included, first run the gate-fusion
+pre-pass (:func:`repro.simulator.kernels.compile_circuit`):
+wire-adjacent runs of single-qubit gates collapse into one 2x2 matrix,
+consecutive diagonal gates merge into a single local diagonal, and the
+remaining ops are grouped into multi-qubit blocks executed as one BLAS
+matmul each, so deep Clifford+T circuits execute far fewer full-state
+sweeps than they have gates.  Smaller states apply the gates one by
+one: there the pre-pass costs more than the sweeps it saves.  On the
+repo's compiled circuits (fused/unfused ms, 2-core VM) 7-line
+permutations at 11 qubits take 1900/1113, an 8-line one at 13 qubits
+1414/1054, a 9-line one at 15 qubits 4822/5610, and a 20-qubit
+hidden shift 144/748; break-even sits between 2**13 and 2**14.
 
 Sampling is vectorized: measurement histograms are produced by numpy
 bit-gathers over the sampled outcome array plus ``np.unique`` instead
@@ -135,21 +144,15 @@ class Statevector:
         if not kernels.apply_gate(self.data, gate, self.num_qubits):
             self.apply_matrix(gate.matrix(), gate.qubits)
 
-    def evolve(self, circuit: QuantumCircuit, fuse: bool = True) -> "Statevector":
+    def evolve(self, circuit: QuantumCircuit) -> "Statevector":
         """Apply all unitary gates of ``circuit`` in place; returns self.
 
-        With ``fuse=True`` (the default) the circuit first runs through
-        the kernel layer's gate-fusion pre-pass.
+        States of at least ``kernels.FUSION_MIN_AMPLITUDES`` amplitudes
+        first run the kernel layer's gate-fusion pre-pass.
         """
         if circuit.num_qubits != self.num_qubits:
             raise SimulationError("circuit width does not match state")
-        for gate in circuit.gates:
-            if gate.is_measurement or gate.name == "reset":
-                raise SimulationError(
-                    "evolve() only handles unitary circuits; "
-                    "use StatevectorSimulator.run for measurements"
-                )
-        _evolve_gates(self, circuit.gates, fuse)
+        _evolve(self.data, circuit.gates, self.num_qubits)
         return self
 
     # ------------------------------------------------------------------
@@ -393,9 +396,8 @@ def _pauli_errors(
 class StatevectorSimulator:
     """Shot-based simulator supporting mid-circuit measurement/reset."""
 
-    def __init__(self, seed: Optional[int] = None, fusion: bool = True):
+    def __init__(self, seed: Optional[int] = None):
         self._seed = seed
-        self._fusion = fusion
 
     def run(
         self,
@@ -415,7 +417,7 @@ class StatevectorSimulator:
             state = initial_state.copy() if initial_state else (
                 Statevector(circuit.num_qubits)
             )
-            state.evolve(circuit, fuse=self._fusion)
+            state.evolve(circuit)
             return SimulationResult({}, state, shots)
 
         num_clbits = _measured_width(circuit)
@@ -433,7 +435,7 @@ class StatevectorSimulator:
                     raise SimulationError("reset after measurement unsupported")
                 else:
                     prefix.append(gate)
-            _evolve_gates(state, prefix, self._fusion)
+            _evolve(state.data, prefix, state.num_qubits)
             probs = state.probabilities()
             outcomes = rng.choice(
                 probs.size, size=shots, p=probs / probs.sum()
@@ -442,12 +444,12 @@ class StatevectorSimulator:
             return SimulationResult(counts, state, shots, num_clbits)
 
         # mid-circuit measurement: evolve the deterministic unitary
-        # prefix once, fused, and sample only the suffix per shot.
+        # prefix once and sample only the suffix per shot.
         split = _first_nonunitary_index(circuit)
         base = initial_state.copy() if initial_state else (
             Statevector(circuit.num_qubits)
         )
-        _evolve_gates(base, circuit.gates[:split], self._fusion)
+        _evolve(base.data, circuit.gates[:split], base.num_qubits)
         counts, last = sample_trajectories(
             base.data, circuit.gates[split:], shots, rng
         )
@@ -456,35 +458,43 @@ class StatevectorSimulator:
 
     def statevector(self, circuit: QuantumCircuit) -> Statevector:
         """Evolve |0..0> through a unitary circuit and return the state."""
-        state = Statevector(circuit.num_qubits)
-        return state.evolve(circuit, fuse=self._fusion)
+        return Statevector(circuit.num_qubits).evolve(circuit)
 
 
-def _evolve_gates(
-    state: Statevector, gates: Sequence[Gate], fusion: bool
-) -> None:
-    """Apply a unitary gate list in place (fused when enabled)."""
-    ops = kernels.compile_circuit(gates, fuse=fusion)
-    kernels.apply_ops(state.data, ops, state.num_qubits)
+def _evolve(data: np.ndarray, gates: Sequence[Gate], num_qubits: int) -> None:
+    """Apply a unitary gate list in place: the one evolution path.
+
+    Fuses when ``data`` holds at least ``kernels.FUSION_MIN_AMPLITUDES``
+    amplitudes (``data.size`` counts batch columns too).  The kernels
+    are reached through the module so tracers patching
+    ``kernels.compile_circuit``/``kernels.apply_ops`` see every call.
+
+    Raises:
+        SimulationError: for a measurement or reset among ``gates``.
+    """
+    for gate in gates:
+        if gate.is_measurement or gate.name == "reset":
+            raise SimulationError(
+                "evolution only handles unitary circuits; "
+                "use StatevectorSimulator.run for measurements"
+            )
+    fuse = data.size >= kernels.FUSION_MIN_AMPLITUDES
+    kernels.apply_ops(data, kernels.compile_circuit(gates, fuse), num_qubits)
 
 
-def evolve_batch(
-    circuit: QuantumCircuit,
-    states: np.ndarray,
-    fuse: bool = True,
-) -> np.ndarray:
+def evolve_batch(circuit: QuantumCircuit, states: np.ndarray) -> np.ndarray:
     """Evolve a batch of states through a unitary circuit in place.
 
     The batch is one array of shape ``(2**n, b...)`` — column ``i`` of
     the trailing axes is an independent state — and every gate sweeps
     the whole batch through the kernels' vectorized batch axis,
     which is how multi-shot and noise-trajectory simulation amortize
-    gate dispatch across shots.
+    gate dispatch across shots.  Fusion is chosen by the size of the
+    whole batch, like :meth:`Statevector.evolve`.
 
     Args:
         circuit: a measurement-free circuit of matching width.
         states: the complex state batch, modified in place.
-        fuse: run the gate-fusion pre-pass (default).
 
     Returns:
         The evolved ``states`` array (the same object).
@@ -494,13 +504,7 @@ def evolve_batch(
     """
     if kernels.infer_num_qubits(states) != circuit.num_qubits:
         raise SimulationError("circuit width does not match state batch")
-    for gate in circuit.gates:
-        if gate.is_measurement or gate.name == "reset":
-            raise SimulationError(
-                "evolve_batch() only handles unitary circuits"
-            )
-    ops = kernels.compile_circuit(circuit.gates, fuse=fuse)
-    kernels.apply_ops(states, ops, circuit.num_qubits)
+    _evolve(states, circuit.gates, circuit.num_qubits)
     return states
 
 

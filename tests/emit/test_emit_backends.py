@@ -185,6 +185,10 @@ class TestQasm2ExternalFiles:
             ("cx q[0],q[0];", "duplicate qubit"),
             ("reset;", "1 qubit operand"),
             ("reset(1) q[0];", "0 parameter"),
+            ("h q[0] junk;", "bad operand"),
+            ("cx q[0] q[1];", "bad operand"),
+            ("h q;", "whole-register operand"),
+            ("measure q -> c;", "whole-register operand"),
         ],
     )
     def test_operand_and_parameter_counts_checked(self, statement, message):

@@ -51,15 +51,12 @@ class TestStatevectorAdapter:
             assert via.num_clbits == direct.num_clbits
             assert via.shots == direct.shots
 
-    def test_fusion_opt_forwarded(self):
-        circuit = _universal_circuit()
-        direct = StatevectorSimulator(seed=3, fusion=False).run(
-            circuit, shots=64
-        )
-        via = engines.run(
-            "statevector", circuit, shots=64, seed=3, fusion=False
-        )
-        assert via.counts == direct.counts
+    def test_fusion_option_rejected(self):
+        # fusion is chosen by state size: there is no switch to forward
+        with pytest.raises(engines.EngineError, match="unknown option 'fusion'"):
+            engines.run(
+                "statevector", _universal_circuit(), shots=8, fusion=False
+            )
 
     def test_noise_rejected_with_alternatives(self):
         with pytest.raises(engines.EngineError, match="density_matrix"):

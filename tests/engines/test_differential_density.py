@@ -64,7 +64,7 @@ def random_circuits(draw, max_qubits=4, max_gates=24):
 class TestZeroNoiseAgreement:
     @given(random_circuits())
     def test_rho_is_statevector_outer_product(self, circuit):
-        state = StatevectorSimulator(fusion=False).run(
+        state = StatevectorSimulator().run(
             circuit, shots=0
         ).final_state
         rho = DensityMatrix(circuit.num_qubits)
@@ -77,7 +77,7 @@ class TestZeroNoiseAgreement:
     def test_engine_probabilities_match_statevector(self, circuit):
         circuit.measure_all()
         exact = engines.run("density_matrix", circuit, shots=0)
-        state = StatevectorSimulator(fusion=True).run(
+        state = StatevectorSimulator().run(
             circuit, shots=0
         ).final_state
         assert np.allclose(

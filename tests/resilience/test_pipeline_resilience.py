@@ -302,6 +302,42 @@ class TestSingleFlightTimeout:
 
         assert _default_follower_timeout() == SINGLE_FLIGHT_TIMEOUT
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "-1", "1e300"])
+    def test_unwaitable_env_value_falls_back_to_the_constant(
+        self, monkeypatch, raw
+    ):
+        # inf made Event.wait raise OverflowError; nan and -1 meant
+        # "do not wait" without saying so
+        monkeypatch.setenv("REPRO_SINGLE_FLIGHT_TIMEOUT", raw)
+        from repro.pipeline.runner import SINGLE_FLIGHT_TIMEOUT
+
+        assert _default_follower_timeout() == SINGLE_FLIGHT_TIMEOUT
+
+    def test_inf_env_value_lets_the_follower_recompute(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SINGLE_FLIGHT_TIMEOUT", "inf")
+        monkeypatch.setattr(
+            "repro.pipeline.runner.SINGLE_FLIGHT_TIMEOUT", 0.05
+        )
+        cache = PassCache()
+        seed = self.seed()
+        key = self.hung_leader(cache, seed)
+        try:
+            outcome = self.run_follower(Pipeline(cache=cache), seed)
+        finally:
+            cache.end_compute(key)
+        assert "error" not in outcome
+        assert outcome["hit"] is False
+
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), -1.0, 1e300, "soon-ish"]
+    )
+    def test_constructor_rejects_unwaitable_timeouts(self, value):
+        with pytest.raises(PipelineError, match="follower_timeout"):
+            Pipeline(cache=None, follower_timeout=value)
+
+    def test_constructor_accepts_zero(self):
+        assert Pipeline(cache=None, follower_timeout=0).follower_timeout == 0.0
+
     def test_deadline_bounds_the_follower_wait(self):
         cache = PassCache()
         seed = self.seed()

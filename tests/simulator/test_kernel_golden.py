@@ -1,4 +1,4 @@
-"""Kernel sweeps: dtype contract, block-gain curve, goldens.
+"""Kernel sweeps: dtype contract and goldens.
 
 The golden tests assert the kernels are *identical* — ``np.array_equal``,
 not ``allclose`` — to the historical kernel layer, using states
@@ -114,42 +114,3 @@ class TestAllocationAndDtype:
         assert sv.data.dtype == np.complex128
         kernels.apply_pauli(sv.data, "y", 0, 1)
         assert np.allclose(sv.data, [0.0, 1j])
-
-
-# ----------------------------------------------------------------------
-# block-gain extrapolation (block_size > 6 must still fuse)
-# ----------------------------------------------------------------------
-class TestBlockGainExtrapolation:
-    def test_gain_finite_and_monotonic_past_measured_range(self):
-        measured_top = max(kernels._BLOCK_GAIN)
-        gains = [kernels._block_gain(f) for f in range(1, 13)]
-        assert all(np.isfinite(g) for g in gains)
-        assert gains[measured_top] > gains[measured_top - 1]  # f=7 > f=6
-
-    @pytest.mark.parametrize("block_size", [7, 8])
-    def test_wide_block_sizes_fuse(self, block_size):
-        # regression: block_size=7 historically never emitted a block
-        # (the gain lookup returned infinity past f=6)
-        from repro.core.circuit import QuantumCircuit
-
-        circ = QuantumCircuit(block_size)
-        for rep in range(3):
-            for q in range(block_size - 1):
-                circ.ch(q, q + 1)  # generic-weight two-qubit gates
-        ops = kernels.compile_circuit(circ.gates, block_size=block_size)
-        widths = [
-            len(payload[0]) for kind, payload in ops if kind == "block"
-        ]
-        assert widths, "no block fused at an oversized block_size"
-        assert max(widths) > 6
-
-        # the fused program must still match the unfused reference
-        state = corpus_state(block_size, 3)
-        reference = state.copy()
-        kernels.apply_ops(state, ops, block_size)
-        kernels.apply_ops(
-            reference,
-            kernels.compile_circuit(circ.gates, fuse=False),
-            block_size,
-        )
-        np.testing.assert_allclose(state, reference, atol=1e-12)

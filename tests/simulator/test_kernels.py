@@ -132,13 +132,21 @@ def test_named_gates_take_kernel_path():
         assert kernels.apply_gate(state, gate, 4), gate.name
 
 
+def _forced(circ, fuse):
+    """Evolve |0..0> through ``circ`` on one forced kernel path."""
+    state = Statevector(circ.num_qubits)
+    ops = kernels.compile_circuit(circ.gates, fuse=fuse)
+    kernels.apply_ops(state.data, ops, circ.num_qubits)
+    return state
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_fusion_preserves_clifford_t_equivalence(seed):
     """Fused evolution equals unfused dense evolution on random circuits."""
     rng = random.Random(seed)
     num_qubits = rng.randint(3, 6)
     circ = random_clifford_t_circuit(num_qubits, 60, seed=seed)
-    fused = Statevector(num_qubits).evolve(circ, fuse=True)
+    fused = _forced(circ, fuse=True)
     dense = DenseStatevector(num_qubits).evolve(circ)
     assert fused.equiv(dense, atol=1e-10)
     assert np.abs(fused.data - dense.data).max() < 1e-10
@@ -152,8 +160,8 @@ def test_fusion_with_rotations_and_controls(seed):
     circ = QuantumCircuit(num_qubits)
     for _ in range(50):
         circ.append(_random_gate(num_qubits, rng))
-    fused = Statevector(num_qubits).evolve(circ, fuse=True)
-    unfused = Statevector(num_qubits).evolve(circ.copy(), fuse=False)
+    fused = _forced(circ, fuse=True)
+    unfused = _forced(circ.copy(), fuse=False)
     assert np.abs(fused.data - unfused.data).max() < 1e-10
 
 
@@ -161,7 +169,7 @@ def test_compile_reduces_op_count():
     """Adjacent 1q runs and diagonal runs collapse."""
     circ = QuantumCircuit(2)
     circ.h(0).t(0).h(0).s(1).t(1).z(1)
-    ops = kernels.compile_circuit(circ.gates, block_size=0)
+    ops = kernels.compile_circuit(circ.gates)
     assert len(ops) < len(circ.gates)
 
 
@@ -174,7 +182,7 @@ def test_identity_products_are_dropped():
 def test_diagonal_run_merges_to_single_op():
     circ = QuantumCircuit(3)
     circ.cz(0, 1).t(2).ccz(0, 1, 2).rz(0.3, 1)
-    ops = kernels.compile_circuit(circ.gates, block_size=0)
+    ops = kernels.compile_circuit(circ.gates)
     assert len(ops) == 1
     kind, (qubits, diag) = ops[0]
     assert kind == "diag"
